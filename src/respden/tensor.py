@@ -257,16 +257,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "log")
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out = np.where(mask, a.data, 0.0)
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor._from_op(out, (a,), backward, "relu")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     # stable in both tails
     out = np.empty_like(a.data)

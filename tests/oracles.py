@@ -66,6 +66,33 @@ def pointwise_mask_mlp(spec: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return mask
 
 
+def pointwise_mask_mlp_grads(spec: np.ndarray, w1, b1, w2, b2, g: np.ndarray):
+    """Pullbacks of sum(g * pointwise_mask_mlp(spec, ...)), bin by bin.
+
+    Returns (d_re, d_im, d_w1, d_b1, d_w2, d_b2) with w2 of shape (hidden,)
+    and b2 a scalar; the relu's subgradient at 0 is 0.
+    """
+    t_n, f_n = spec.shape
+    d_re = np.zeros((t_n, f_n))
+    d_im = np.zeros((t_n, f_n))
+    d_w1 = np.zeros_like(w1)
+    d_b1 = np.zeros_like(b1)
+    d_w2 = np.zeros_like(w2)
+    d_b2 = 0.0
+    for u in range(t_n):
+        for v in range(f_n):
+            feats = np.array([spec[u, v].real, spec[u, v].imag])
+            pre = feats @ w1 + b1
+            d_b2 += g[u, v]
+            d_w2 += g[u, v] * np.maximum(pre, 0.0)
+            d_pre = g[u, v] * w2 * (pre > 0.0)
+            d_b1 += d_pre
+            d_w1 += np.outer(feats, d_pre)
+            d_re[u, v] = d_pre @ w1[0]
+            d_im[u, v] = d_pre @ w1[1]
+    return d_re, d_im, d_w1, d_b1, d_w2, d_b2
+
+
 def soft_shrink_scalar(x: float, alpha: float) -> float:
     return math.copysign(max(abs(x) - alpha, 0.0), x) if abs(x) > alpha else 0.0
 

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from respden.fourier import fft2
-from respden.freq_filter import FilterParams, filter_forward, mask_net, mirror_spectrum, symmetrize
+from respden.errors import NumericError
+from respden.fourier import ComplexTensor, fft2
+from respden.freq_filter import (
+    MASK_BLOCK, FilterParams, filter_forward, mask_net, mirror_spectrum, symmetrize,
+)
 from respden.gradcheck import check_loss_gradients
 from respden.tensor import Tensor, mul, soft_shrink, total_sum
 
-from oracles import filter_direct
+from oracles import filter_direct, pointwise_mask_mlp, pointwise_mask_mlp_grads
 
 
 def random_params(rng, hidden=6, alpha=0.02, scale=0.05, requires_grad=False):
@@ -47,6 +50,63 @@ class TestMaskNet:
         m1 = mask_net(fft2(Tensor(rng.standard_normal((5, 6)))), params).data
         m2 = mask_net(fft2(Tensor(rng.standard_normal((5, 6)))), params).data
         assert not np.array_equal(m1, m2)
+
+
+def normwise_rel_err(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestFusedMaskNet:
+    """The blocked single-node MLP against the per-bin loop oracle."""
+
+    SHAPE = (33, 40)
+
+    def spectrum_and_params(self):
+        rng = np.random.default_rng(20)
+        spec = ComplexTensor(Tensor(rng.standard_normal(self.SHAPE), requires_grad=True),
+                             Tensor(rng.standard_normal(self.SHAPE), requires_grad=True))
+        hidden = 7
+        params = FilterParams(
+            Tensor(rng.standard_normal((2, hidden)), requires_grad=True),
+            Tensor(rng.standard_normal(hidden) * 0.5, requires_grad=True),
+            Tensor(rng.standard_normal((hidden, 1)), requires_grad=True),
+            Tensor(np.full(1, 0.3), requires_grad=True),
+        )
+        return spec, params
+
+    def test_forward_and_six_gradients_match_loop_oracle(self):
+        # more than one block, the last one ragged
+        n = self.SHAPE[0] * self.SHAPE[1]
+        assert n > MASK_BLOCK and n % MASK_BLOCK != 0
+        spec, params = self.spectrum_and_params()
+        w1, b1, w2, b2 = (p.data for p in (params.w1, params.b1, params.w2, params.b2))
+        z = spec.re.data[..., None] * w1[0] + spec.im.data[..., None] * w1[1] + b1
+        # every unit is off at some bins and on at others, and no
+        # pre-activation sits on the kink, so both backward branches count
+        assert (z > 0).any(axis=(0, 1)).all() and (z < 0).any(axis=(0, 1)).all()
+        assert np.abs(z).min() > 1e-6
+        g = np.random.default_rng(21).standard_normal(self.SHAPE)
+
+        out = mask_net(spec, params)
+        total_sum(mul(Tensor(g), out)).backward()
+
+        complex_spec = spec.re.data + 1j * spec.im.data
+        want = pointwise_mask_mlp(complex_spec, w1, b1, w2.reshape(-1), b2[0])
+        assert normwise_rel_err(out.data, want) <= 1e-12
+        want_grads = pointwise_mask_mlp_grads(complex_spec, w1, b1, w2.reshape(-1), b2[0], g)
+        got_grads = (spec.re.grad, spec.im.grad, params.w1.grad, params.b1.grad,
+                     params.w2.grad.reshape(-1), params.b2.grad[0])
+        for name, got, want in zip(("re", "im", "w1", "b1", "w2", "b2"), got_grads, want_grads):
+            assert normwise_rel_err(np.asarray(got), np.asarray(want)) <= 1e-12, name
+
+    @pytest.mark.parametrize("weight", ["w1", "w2"])
+    def test_overflow_raises_numeric_error(self, weight):
+        # a huge finite weight overflows the hidden pre-activation (w1) or
+        # the mask itself (w2) to +/-inf
+        spec, params = self.spectrum_and_params()
+        getattr(params, weight).data[...] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            mask_net(spec, params)
 
 
 class TestSymmetrization:
