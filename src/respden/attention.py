@@ -3,8 +3,21 @@
 Each block is pre-norm residual: LN -> multi-head differential attention,
 then LN -> SwishGLU. Attention computes two softmax maps from split
 query/key projections and subtracts the second, scaled by a learnable
-per-head factor, before multiplying by the values; common-mode attention
-mass cancels while stable structure survives.
+per-head (or shared) factor lambda, before multiplying by the values;
+common-mode attention mass cancels while stable structure survives.
+
+Differential attention is one fused tape node. Its forward projects the
+tokens once (`x @ wq`, `x @ wk`, `x @ wv`), views the projections as head
+arrays, (H, 2, N, d) for queries and keys and (H, N, d_v) for values,
+and computes all 2H score maps with one batched matmul scaled by
+1/sqrt(d), one max-subtracted softmax over (H, 2, N, N), the differential
+map a = m1 - lambda * m2, then a @ v with the heads merged back to
+(N, H * d_v) and multiplied by `wo`. The node keeps the head arrays, the
+softmax maps, a and the merged heads; its hand-derived backward returns
+the pullbacks of x, wq, wk, wv, wo and lambda (a shared lambda's pullback
+is summed over the heads). q, k and v, and the scores, are checked for
+NaN/Inf as they are made, and the output when the node is made, so an
+overflow anywhere in the layer raises `NumericError`.
 """
 
 from __future__ import annotations
@@ -16,20 +29,7 @@ import numpy as np
 
 from .audio import DEFAULT_SPEC_CONFIG, N_FRAMES
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    layer_norm,
-    matmul,
-    mul,
-    narrow,
-    reshape,
-    softmax,
-    sub,
-    swish_glu,
-    transpose,
-)
+from .tensor import Tensor, _check_finite, add, layer_norm, matmul, swish_glu
 
 PATCH = 16
 #: token grid over the zero-padded 256 x 64 spectrogram
@@ -75,34 +75,76 @@ class MhdaParams:
         return self.wv.shape[1] // self.heads
 
 
-def mhda_with_maps(x: Tensor, params: MhdaParams) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """Differential attention plus the per-head softmax map pair."""
-    if x.shape[1] != params.wq.shape[0]:
-        raise ShapeError(f"token width {x.shape[1]} does not match wq rows {params.wq.shape[0]}")
-    q = matmul(x, params.wq)
-    k = matmul(x, params.wk)
-    v = matmul(x, params.wv)
-    d, dv = params.d_qk, params.d_v
+def _mhda(x: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
+    """The fused attention node plus its (H, 2, N, N) softmax maps."""
+    if x.data.ndim != 2 or x.shape[1] != params.wq.shape[0]:
+        raise ShapeError(f"expected (N, {params.wq.shape[0]}) tokens to match wq rows, got {x.shape}")
+    wq, wk, wv, wo, lam = params.wq, params.wk, params.wv, params.wo, params.lam
+    n, h, d, dv = x.shape[0], params.heads, params.d_qk, params.d_v
     scale = 1.0 / math.sqrt(d)
-    shared = params.lam.shape == (1,)
-    heads_out = []
-    maps = []
-    for i in range(params.heads):
-        off = 2 * d * i
-        q1, q2 = narrow(q, 1, off, d), narrow(q, 1, off + d, d)
-        k1, k2 = narrow(k, 1, off, d), narrow(k, 1, off + d, d)
-        vi = narrow(v, 1, dv * i, dv)
-        m1 = softmax(mul(scale, matmul(q1, transpose(k1))), axis=1)
-        m2 = softmax(mul(scale, matmul(q2, transpose(k2))), axis=1)
-        lam_i = reshape(narrow(params.lam, 0, 0 if shared else i, 1), ())
-        heads_out.append(matmul(sub(m1, mul(lam_i, m2)), vi))
-        maps.append((m1, m2))
-    return matmul(concat(heads_out, axis=1), params.wo), maps
+    q = x.data @ wq.data
+    k = x.data @ wk.data
+    v = x.data @ wv.data
+    _check_finite(q, "mhda query projection")
+    _check_finite(k, "mhda key projection")
+    _check_finite(v, "mhda value projection")
+    # head arrays: (H, 2, N, d) for queries/keys, (H, N, d_v) for values
+    qh = q.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
+    kh = k.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
+    vh = v.reshape(n, h, dv).transpose(1, 0, 2)
+    s = scale * (qh @ kh.swapaxes(-1, -2))
+    _check_finite(s, "mhda attention scores")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    m = e / e.sum(axis=-1, keepdims=True)
+    # a shared (1,) lambda broadcasts over the head axis like a per-head one
+    lam_h = lam.data.reshape(-1, 1, 1)
+    a = m[:, 0] - lam_h * m[:, 1]
+    merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
+    out = merged @ wo.data
+
+    def backward(g):
+        d_merged = g @ wo.data.T
+        d_wo = merged.T @ g
+        d_o = d_merged.reshape(n, h, dv).transpose(1, 0, 2)
+        d_vh = a.swapaxes(-1, -2) @ d_o
+        # both maps pull back d_a; the second scaled by -lambda, applied
+        # after the softmax pullback together with the score scale
+        d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
+        dot = (d_a * m).sum(axis=-1, keepdims=True)
+        d_lam = -dot[:, 1].sum(axis=(1, 2))
+        if lam.shape == (1,):
+            d_lam = d_lam.sum(keepdims=True)
+        d_s = m * (d_a - dot)
+        d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
+        d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
+        d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
+        d_v = d_vh.transpose(1, 0, 2).reshape(n, h * dv)
+        d_x = d_q @ wq.data.T
+        d_x += d_k @ wk.data.T
+        d_x += d_v @ wv.data.T
+        return (d_x, x.data.T @ d_q, x.data.T @ d_k, x.data.T @ d_v, d_wo, d_lam)
+
+    return Tensor._from_op(out, (x, wq, wk, wv, wo, lam), backward, "mhda"), m
+
+
+def mhda_with_maps(x: Tensor, params: MhdaParams) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """Differential attention plus the per-head softmax map pair.
+
+    The output is the fused tape node described in the module docstring:
+    one forward over all heads, with the head arrays, softmax maps,
+    differential map and merged heads kept for its hand-derived backward,
+    and NaN/Inf checks on q, k, v and the scores. The maps are
+    returned as constant Tensors (m1, m2) per head, each N x N with rows
+    summing to 1; they are views of the arrays the backward reads and
+    carry no gradient.
+    """
+    out, m = _mhda(x, params)
+    return out, [(Tensor(pair[0]), Tensor(pair[1])) for pair in m]
 
 
 def mhda(x: Tensor, params: MhdaParams) -> Tensor:
-    out, _ = mhda_with_maps(x, params)
-    return out
+    """Multi-head differential attention as one tape node (see module doc)."""
+    return _mhda(x, params)[0]
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig, validate_config
 from .errors import BadMagicError, CheckpointError, ShapeError, TruncatedError, VersionError
-from .model import Model
+from .model import Model, param_shapes
 from .optim import AdamState
 from .tensor import Tensor
 
@@ -138,28 +138,37 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    """Rebuild a model from the stored config and bind stored parameters."""
+    """Rebuild a model from the stored config and the stored parameters.
+
+    The stored tensors become the model's parameters directly; no fresh
+    initialisation is drawn first.
+    """
     cfg = ckpt.run_config()
-    model = Model(cfg)
-    bind_params(model, ckpt)
-    return model
+    stored = _stored_params(param_shapes(cfg), ckpt)
+    return Model(cfg, {name: Tensor(arr, requires_grad=True) for name, arr in stored.items()})
 
 
 def bind_params(model: Model, ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into the model, validating names and shapes."""
-    for name, p in model.params.items():
+    shapes = {name: p.data.shape for name, p in model.params.items()}
+    for name, arr in _stored_params(shapes, ckpt).items():
+        model.params[name].data = arr
+
+
+def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    """Float64 copies of exactly the checkpoint tensors named in `shapes`."""
+    for name, shape in shapes.items():
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint is missing parameter '{name}'")
         stored = ckpt.params[name]
-        if stored.shape != p.data.shape:
+        if stored.shape != shape:
             raise ShapeError(
-                f"checkpoint tensor '{name}' has shape {stored.shape}, "
-                f"model expects {p.data.shape}"
+                f"checkpoint tensor '{name}' has shape {stored.shape}, model expects {shape}"
             )
-        p.data = stored.astype(np.float64).copy()
-    extra = set(ckpt.params) - set(model.params)
+    extra = set(ckpt.params) - set(shapes)
     if extra:
         raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)}")
+    return {name: ckpt.params[name].astype(np.float64) for name in shapes}
 
 
 def adam_from_checkpoint(ckpt: Checkpoint) -> AdamState | None:

@@ -6,6 +6,8 @@ is what the optimizer, checkpoints, and gradient checks all consume.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .attention import BackboneParams, BlockParams, MhdaParams, N_TOKENS, PATCH_DIM, backbone_forward
@@ -38,50 +40,76 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(name.encode())))
 
 
+class _Normal(NamedTuple):
+    std: float
+
+
+def _param_table(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], float | _Normal | None]]:
+    """Every parameter as (name, shape, init), in draw order.
+
+    `init` is a constant fill value or `_Normal(std)` for a zero-mean
+    Gaussian draw; None marks the patch bias, which `init_params` derives
+    from the patch weights.
+    """
+    d, h, hidden = cfg.dim, cfg.heads, cfg.mask_hidden
+    ffn = 2 * d
+    lam_shape = (1,) if cfg.shared_lambda else (h,)
+    table = [
+        ("aff.w1", (2, hidden), _Normal(MASK_W_STD)),
+        ("aff.b1", (hidden,), MASK_B1),
+        ("aff.w2", (hidden, 1), _Normal(MASK_W_STD)),
+        ("aff.b2", (1,), 1.0),
+        ("patch.w", (PATCH_DIM, d), _Normal(PATCH_W_STD)),
+        ("patch.b", (d,), None),
+        ("pos", (N_TOKENS, d), _Normal(INIT_STD)),
+    ]
+    for i in range(cfg.layers):
+        b = f"block{i}."
+        table += [
+            (b + "ln1.g", (d,), 1.0),
+            (b + "ln1.b", (d,), 0.0),
+            (b + "wq", (d, d), _Normal(INIT_STD)),
+            (b + "wk", (d, d), _Normal(INIT_STD)),
+            (b + "wv", (d, d), _Normal(INIT_STD)),
+            (b + "wo", (d, d), _Normal(INIT_STD)),
+            (b + "lam", lam_shape, LAMBDA_INIT),
+            (b + "ln2.g", (d,), 1.0),
+            (b + "ln2.b", (d,), 0.0),
+            (b + "ffn.w1", (d, ffn), _Normal(INIT_STD)),
+            (b + "ffn.w2", (d, ffn), _Normal(INIT_STD)),
+            (b + "ffn.w3", (ffn, d), _Normal(INIT_STD)),
+        ]
+    table += [
+        ("final.g", (d,), 1.0),
+        ("final.b", (d,), 0.0),
+        ("head.norm.g", (d,), 1.0),
+        ("head.norm.b", (d,), 0.0),
+        # zero-init heads: initial logits are exactly uniform, so early updates
+        # follow the pooled features instead of unlearning random projections
+        ("head.phi.w", (d, N_CLASSES), 0.0),
+        ("head.phi.b", (N_CLASSES,), 0.0),
+        ("head.cls.w", (d, N_CLASSES), 0.0),
+        ("head.cls.b", (N_CLASSES,), 0.0),
+    ]
+    return table
+
+
+def param_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
+    """Expected parameter names and shapes, in draw order, without drawing."""
+    return {name: shape for name, shape, _ in _param_table(cfg)}
+
+
 def init_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Build the named parameter map for the configured dimensions."""
-    d, h, layers, hidden = cfg.dim, cfg.heads, cfg.layers, cfg.mask_hidden
-    ffn = 2 * d
-
-    def gauss(*shape, std=INIT_STD):
-        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-    def const(value, *shape):
-        return Tensor(np.full(shape, float(value)), requires_grad=True)
-
     params: dict[str, Tensor] = {}
-    params["aff.w1"] = gauss(2, hidden, std=MASK_W_STD)
-    params["aff.b1"] = const(MASK_B1, hidden)
-    params["aff.w2"] = gauss(hidden, 1, std=MASK_W_STD)
-    params["aff.b2"] = const(1.0, 1)
-    params["patch.w"] = gauss(PATCH_DIM, d, std=PATCH_W_STD)
-    params["patch.b"] = Tensor(-LOG_FLOOR_VALUE * params["patch.w"].data.sum(axis=0),
-                               requires_grad=True)
-    params["pos"] = gauss(N_TOKENS, d)
-    lam_shape = 1 if cfg.shared_lambda else h
-    for i in range(layers):
-        params[f"block{i}.ln1.g"] = const(1.0, d)
-        params[f"block{i}.ln1.b"] = const(0.0, d)
-        params[f"block{i}.wq"] = gauss(d, d)
-        params[f"block{i}.wk"] = gauss(d, d)
-        params[f"block{i}.wv"] = gauss(d, d)
-        params[f"block{i}.wo"] = gauss(d, d)
-        params[f"block{i}.lam"] = const(LAMBDA_INIT, lam_shape)
-        params[f"block{i}.ln2.g"] = const(1.0, d)
-        params[f"block{i}.ln2.b"] = const(0.0, d)
-        params[f"block{i}.ffn.w1"] = gauss(d, ffn)
-        params[f"block{i}.ffn.w2"] = gauss(d, ffn)
-        params[f"block{i}.ffn.w3"] = gauss(ffn, d)
-    params["final.g"] = const(1.0, d)
-    params["final.b"] = const(0.0, d)
-    params["head.norm.g"] = const(1.0, d)
-    params["head.norm.b"] = const(0.0, d)
-    # zero-init heads: initial logits are exactly uniform, so early updates
-    # follow the pooled features instead of unlearning random projections
-    params["head.phi.w"] = const(0.0, d, N_CLASSES)
-    params["head.phi.b"] = const(0.0, N_CLASSES)
-    params["head.cls.w"] = const(0.0, d, N_CLASSES)
-    params["head.cls.b"] = const(0.0, N_CLASSES)
+    for name, shape, init in _param_table(cfg):
+        if isinstance(init, _Normal):
+            data = rng.normal(0.0, init.std, size=shape)
+        elif init is None:
+            data = -LOG_FLOOR_VALUE * params["patch.w"].data.sum(axis=0)
+        else:
+            data = np.full(shape, float(init))
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -106,8 +134,7 @@ class Model:
     # -- parameter plumbing ---------------------------------------------------
 
     def _check_shapes(self) -> None:
-        expect = {n: t.shape for n, t in init_params(self.cfg, np.random.default_rng(0)).items()}
-        for name, shape in expect.items():
+        for name, shape in param_shapes(self.cfg).items():
             if name not in self.params:
                 raise ShapeError(f"parameter '{name}' missing from model parameters")
             if self.params[name].shape != shape:

@@ -297,49 +297,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "reshape")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    out = a.data.T.copy()
-
-    def backward(g):
-        return (g.T,)
-
-    return Tensor._from_op(out, (a,), backward, "transpose")
-
-
-def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
-    """Contiguous slice [start, start+size) along `axis`."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + size)
-    idx = tuple(idx)
-    out = a.data[idx].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return Tensor._from_op(out, (a,), backward, "narrow")
-
-
-def concat(parts: list[Tensor], axis: int) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            grads.append(g[tuple(idx)])
-        return tuple(grads)
-
-    return Tensor._from_op(out, tuple(parts), backward, "concat")
-
-
 # -- reductions ----------------------------------------------------------------
 
 

@@ -16,9 +16,9 @@ from respden.attention import (
     mhda_with_maps,
     patch_embed,
 )
-from respden.errors import ShapeError
+from respden.errors import NumericError, ShapeError
 from respden.gradcheck import check_loss_gradients
-from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum, transpose
+from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum
 
 from oracles import mhda_direct, softmax_rows
 
@@ -116,6 +116,46 @@ class TestMhda:
                             Tensor(rng.standard_normal((d, d))), Tensor(rng.standard_normal((d, d))),
                             Tensor(np.array([0.5])), heads)
         assert mhda(Tensor(rng.standard_normal((3, d))), params).shape == (3, d)
+
+    @pytest.mark.parametrize("lam_entries", [1, 3], ids=["shared", "per_head"])
+    def test_gradients_of_every_input(self, lam_entries):
+        rng = np.random.default_rng(20)
+        d, heads, n = 12, 3, 5
+
+        def t(*shape, scale=0.5):
+            return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+        x = t(n, d, scale=1.0)
+        params = MhdaParams(t(d, d), t(d, d), t(d, d), t(d, d),
+                            Tensor(rng.uniform(0.2, 0.9, lam_entries), requires_grad=True), heads)
+        w = Tensor(rng.standard_normal((n, d)))
+        rows = check_loss_gradients(
+            lambda: total_sum(mul(w, mhda(x, params))),
+            {"x": x, "wq": params.wq, "wk": params.wk, "wv": params.wv, "wo": params.wo,
+             "lam": params.lam},
+        )
+        assert params.lam.grad.shape == (lam_entries,)
+        for row in rows:
+            assert row.max_rel_err <= 1e-6, row
+
+    def test_matches_oracle_at_model_width_with_shared_lambda(self):
+        rng = np.random.default_rng(21)
+        d, heads = 96, 4
+        params = MhdaParams(*(Tensor(rng.standard_normal((d, d)) * 0.1) for _ in range(4)),
+                            Tensor(np.array([0.6])), heads)
+        x = rng.standard_normal((N_TOKENS, d))
+        got = mhda(Tensor(x), params).data
+        want = mhda_direct(x, params.wq.data, params.wk.data, params.wv.data,
+                           params.wo.data, np.full(heads, 0.6), heads)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["wq", "wk", "wv"])
+    def test_huge_projection_raises(self, which):
+        rng = np.random.default_rng(22)
+        params = make_attn(rng, 8, 2)
+        getattr(params, which).data[...] = 1e308
+        with pytest.raises(NumericError):
+            mhda(Tensor(rng.standard_normal((4, 8))), params)
 
     def test_width_validation(self):
         rng = np.random.default_rng(6)

@@ -11,8 +11,9 @@ from respden.config import RunConfig, validate_config
 
 train_mod = sys.modules["respden.train"]
 from respden.datasets import SynthConfig, build_synth
-from respden.errors import TrainingError, UndefinedMetricError
+from respden.errors import ShapeError, TrainingError, UndefinedMetricError
 from respden.model import Model, seed_stream
+from respden.tensor import Tensor
 from respden.train import evaluate_indices, evaluate_split, prepare_data, train
 
 
@@ -83,6 +84,19 @@ class TestModel:
         before = model.logits(spec)
         model.params["aff.b2"].data[...] = 123.0
         np.testing.assert_array_equal(model.logits(spec), before)
+
+
+    @pytest.mark.parametrize("fault", ["missing", "misshaped"])
+    @pytest.mark.parametrize("name", ["pos", "block0.lam", "head.cls.b"])
+    def test_bad_parameter_map_names_the_parameter(self, fault, name):
+        cfg = tiny_cfg()
+        params = Model(cfg).params
+        if fault == "missing":
+            del params[name]
+        else:
+            params[name] = Tensor(np.zeros(params[name].shape + (1,)), requires_grad=True)
+        with pytest.raises(ShapeError, match=name):
+            Model(cfg, params)
 
 
 class TestTraining:
