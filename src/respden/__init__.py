@@ -19,7 +19,7 @@ from .audio import (
 )
 from .config import RunConfig, parse_config
 from .datasets import DatasetManifest, SynthConfig, build_synth, load_dataset, write_synth
-from .fourier import ComplexTensor, fft2, ifft2
+from .fourier import fft2, ifft2
 from .freq_filter import FilterParams, filter_forward, mask_net
 from .attention import (
     BackboneParams,

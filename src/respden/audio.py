@@ -3,8 +3,8 @@
 Every clip, real or synthetic, is standardized to 8 s at 16 kHz
 (128000 samples) and turned into a 249 x 64 log-mel spectrogram. The
 spectrogram conventions that the pipeline does not inherit from elsewhere
-(window, hop, mel scale, log floor) live in `SpectrogramConfig` so runs
-are reproducible.
+(FFT size, hop, mel scale, log floor) live in `SpectrogramConfig` so runs
+are reproducible; the analysis window is always the periodic Hann.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class SpectrogramConfig:
     n_mels: int = 64
     fmin: float = 0.0
     fmax: float = 8000.0
-    window: str = "hann-periodic"
     log_floor: float = 1e-6
 
 

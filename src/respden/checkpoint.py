@@ -148,15 +148,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     return Model(cfg, {name: Tensor(arr, requires_grad=True) for name, arr in stored.items()})
 
 
-def bind_params(model: Model, ckpt: Checkpoint) -> None:
-    """Copy checkpoint tensors into the model, validating names and shapes."""
-    shapes = {name: p.data.shape for name, p in model.params.items()}
-    for name, arr in _stored_params(shapes, ckpt).items():
-        model.params[name].data = arr
-
-
 def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    """Float64 copies of exactly the checkpoint tensors named in `shapes`."""
+    """Float64 copies of exactly the checkpoint tensors named in `shapes`, all finite."""
     for name, shape in shapes.items():
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint is missing parameter '{name}'")
@@ -165,6 +158,8 @@ def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict
             raise ShapeError(
                 f"checkpoint tensor '{name}' has shape {stored.shape}, model expects {shape}"
             )
+        if not np.isfinite(stored).all():
+            raise CheckpointError(f"checkpoint tensor '{name}' holds non-finite values")
     extra = set(ckpt.params) - set(shapes)
     if extra:
         raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)}")

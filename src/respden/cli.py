@@ -12,7 +12,6 @@ import os
 import sys
 
 from .checkpoint import (
-    adam_from_checkpoint,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -122,8 +121,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     rows, ok = run_gradcheck(seed=args.seed if args.seed is not None else 0,
-                             max_entries=args.max_entries,
-                             corrupt_param=args.corrupt_param)
+                             max_entries=args.max_entries)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<28} max_rel_err={r.max_rel_err:.3e}  "
@@ -162,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--seed", type=int)
     p_gc.add_argument("--max-entries", dest="max_entries", type=int, default=8,
                       help="entries sampled per large parameter tensor")
-    p_gc.add_argument("--corrupt-param", dest="corrupt_param",
-                      help="testing hook: force the named check row to fail")
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_rep = sub.add_parser("report", help="render an ablation table from metrics logs")

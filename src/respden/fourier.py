@@ -1,50 +1,28 @@
 """Differentiable 2-D discrete Fourier transform on real spectrograms.
 
-Complex values are carried as explicit (re, im) tensor pairs so the
-autodiff graph stays purely real. Convention: the forward transform is the
-plain double sum with negative exponent and no normalization; the inverse
-carries the 1/(T*F) factor. The FFT kernel (pocketfft) is mixed-radix with
-a Bluestein fallback, so arbitrary T x F extents from the mel pipeline are
-transformed exactly, without padding.
+A complex T x F spectrum is carried as one real (2, T, F) tensor, the
+real part stacked on the imaginary part, so the autodiff graph stays
+purely real and each transform is a single tape node. Convention: the
+forward transform is the plain double sum with negative exponent and no
+normalization; the inverse carries the 1/(T*F) factor. The FFT kernel
+(pocketfft) is mixed-radix with a Bluestein fallback, so arbitrary T x F
+extents from the mel pipeline are transformed exactly, without padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, mul
 
 #: largest |imaginary residue| accepted when inverting a spectrum that is
 #: claimed to come from a real signal
 REAL_RESIDUE_TOL = 1e-9
 
 
-@dataclass
-class ComplexTensor:
-    """A pair of identically shaped real tensors (re, im)."""
-
-    re: Tensor
-    im: Tensor
-
-    def __post_init__(self):
-        if self.re.shape != self.im.shape:
-            raise ShapeError(
-                f"complex parts must share a shape, got {self.re.shape} vs {self.im.shape}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.re.shape
-
-    def to_complex(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
-
-
-def fft2(x: Tensor) -> ComplexTensor:
-    """Unnormalized 2-D DFT of a real T x F tensor.
+def fft2(x: Tensor) -> Tensor:
+    """Unnormalized 2-D DFT of a real T x F tensor, as a (2, T, F) spectrum.
 
     The map is linear, so the pullback of (g_re, g_im) is the real part of
     the adjoint (conjugate-transposed) DFT applied to g_re + i*g_im, which
@@ -55,48 +33,40 @@ def fft2(x: Tensor) -> ComplexTensor:
     spec = np.fft.fft2(x.data)
     n = x.data.size
 
-    def backward_re(g):
-        return (np.real(np.fft.ifft2(g)) * n,)
+    def backward(g):
+        return (np.real(np.fft.ifft2(g[0] + 1j * g[1])) * n,)
 
-    def backward_im(g):
-        return (np.real(np.fft.ifft2(1j * g)) * n,)
-
-    re = Tensor._from_op(np.ascontiguousarray(spec.real), (x,), backward_re, "fft2.re")
-    im = Tensor._from_op(np.ascontiguousarray(spec.imag), (x,), backward_im, "fft2.im")
-    return ComplexTensor(re, im)
+    return Tensor._from_op(np.stack((spec.real, spec.imag)), (x,), backward, "fft2")
 
 
-def ifft2(spectrum: ComplexTensor, residue_tol: float = REAL_RESIDUE_TOL) -> Tensor:
-    """Normalized inverse 2-D DFT, returning the real signal.
+def ifft2(spectrum: Tensor) -> Tensor:
+    """Normalized inverse 2-D DFT of a (2, T, F) spectrum, returning the real signal.
 
     The input must be (numerically) Hermitian-symmetric; if the imaginary
-    residue of the inverse exceeds `residue_tol` the claimed-real inverse is
-    rejected with `NumericError`. Pass `residue_tol=None` to discard the
-    residue unconditionally.
+    residue of the inverse exceeds `REAL_RESIDUE_TOL` the claimed-real
+    inverse is rejected with `NumericError`.
     """
-    re, im = spectrum.re, spectrum.im
-    z = re.data + 1j * im.data
-    inv = np.fft.ifft2(z)
-    if residue_tol is not None:
-        residue = float(np.abs(inv.imag).max()) if inv.size else 0.0
-        if residue > residue_tol:
-            raise NumericError(
-                f"inverse transform of a claimed-real spectrum has imaginary residue "
-                f"{residue:.3e} > {residue_tol:.3e}"
-            )
+    s = spectrum.data
+    if s.ndim != 3 or s.shape[0] != 2:
+        raise ShapeError(f"ifft2 expects a (2, T, F) spectrum, got shape {spectrum.shape}")
+    inv = np.fft.ifft2(s[0] + 1j * s[1])
+    residue = float(np.abs(inv.imag).max()) if inv.size else 0.0
+    if residue > REAL_RESIDUE_TOL:
+        raise NumericError(
+            f"inverse transform of a claimed-real spectrum has imaginary residue "
+            f"{residue:.3e} > {REAL_RESIDUE_TOL:.3e}"
+        )
     out = np.ascontiguousarray(inv.real)
     n = out.size
 
-    # adjoint of Re o ifft2, split into the (re, im) parents
+    # adjoint of Re o ifft2, stacked as (re, im)
     def backward(g):
         w = np.fft.fft2(g) / n
-        return np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+        return (np.stack((w.real, w.imag)),)
 
-    return Tensor._from_op(out, (re, im), backward, "ifft2")
+    return Tensor._from_op(out, (spectrum,), backward, "ifft2")
 
 
-def scale_complex(spectrum: ComplexTensor, mask: Tensor) -> ComplexTensor:
-    """Multiply a real mask elementwise into both complex parts."""
-    from .tensor import mul
-
-    return ComplexTensor(mul(mask, spectrum.re), mul(mask, spectrum.im))
+def scale_complex(spectrum: Tensor, mask: Tensor) -> Tensor:
+    """Multiply a real T x F mask elementwise into both parts of a (2, T, F) spectrum."""
+    return mul(mask, spectrum)

@@ -1,7 +1,8 @@
 """Adaptive frequency filter.
 
 The log-mel spectrogram is mapped to its modulation spectrum with a 2-D
-DFT, attenuated bin-by-bin with a learnable instance-adaptive real mask
+DFT, carried as one real (2, T, F) tensor (real part over imaginary
+part), attenuated bin-by-bin with a learnable instance-adaptive real mask
 passed through soft shrink, and mapped back. The mask network is a tiny
 pointwise MLP over each bin's (re, im) pair, so the mask depends on the
 input content and not only on bin position.
@@ -16,7 +17,8 @@ an overflow anywhere in the MLP raises `NumericError`.
 A real pointwise mask alone does not keep the masked spectrum
 conjugate-symmetric (the MLP is not even in the imaginary part), so the
 raw mask is symmetrized across conjugate bin pairs before shrinking; that
-is what guarantees a real output signal.
+is what guarantees a real output signal. Symmetrization is one
+self-adjoint tape node: its backward averages the cotangent the same way.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import ComplexTensor, fft2, ifft2, scale_complex
-from .tensor import Tensor, _check_finite, add, mul, soft_shrink
+from .fourier import fft2, ifft2, scale_complex
+from .tensor import Tensor, _check_finite, add, soft_shrink
 
 #: bins per block of the fused mask MLP: a 1024 x hidden float64 block of
 #: the hidden layer (256 KiB at hidden width 32) fits in L2 cache
@@ -57,8 +59,8 @@ def _hidden(feats: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def mask_net(spectrum: ComplexTensor, params: FilterParams) -> Tensor:
-    """One real mask value per bin from that bin's (re, im) pair.
+def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
+    """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
 
     relu(feats @ w1 + b1) @ w2 + b2 as a single tape node, evaluated in
     blocks of `MASK_BLOCK` bins. The backward keeps only the (N, 2)
@@ -67,11 +69,10 @@ def mask_net(spectrum: ComplexTensor, params: FilterParams) -> Tensor:
     subgradient at 0 is 0. Hidden pre-activations are checked per block,
     the output when the node is made; either raises `NumericError`.
     """
-    re, im = spectrum.re, spectrum.im
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
-    t, f = spectrum.shape
+    _, t, f = spectrum.shape
     n = t * f
-    feats = np.stack((re.data.reshape(n), im.data.reshape(n)), axis=1)
+    feats = np.ascontiguousarray(spectrum.data.reshape(2, n).T)
     blocks = [slice(lo, lo + MASK_BLOCK) for lo in range(0, n, MASK_BLOCK)]
     out = np.empty((n, 1))
     for blk in blocks:
@@ -93,30 +94,27 @@ def mask_net(spectrum: ComplexTensor, params: FilterParams) -> Tensor:
             d_w1 += feats[blk].T @ d_z
             d_feats[blk] = d_z @ w1.data.T
         d_b2 = g.sum(axis=0)
-        return (d_feats[:, 0].reshape(t, f), d_feats[:, 1].reshape(t, f),
-                d_w1, d_b1, d_w2, d_b2)
+        return d_feats.T.reshape(2, t, f), d_w1, d_b1, d_w2, d_b2
 
-    return Tensor._from_op(out.reshape(t, f), (re, im, w1, b1, w2, b2), backward, "mask_net")
+    return Tensor._from_op(out.reshape(t, f), (spectrum, w1, b1, w2, b2), backward, "mask_net")
 
 
 def _negation_perm(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
 
 
-def mirror_spectrum(m: Tensor) -> Tensor:
-    """Reindex a T x F bin grid by frequency negation (an involution)."""
-    perm = np.ix_(_negation_perm(m.shape[0]), _negation_perm(m.shape[1]))
-    out = m.data[perm].copy()
-
-    def backward(g):
-        return (g[perm],)
-
-    return Tensor._from_op(out, (m,), backward, "mirror_spectrum")
-
-
 def symmetrize(m: Tensor) -> Tensor:
-    """Average each bin with its conjugate partner; makes the mask even."""
-    return mul(0.5, add(m, mirror_spectrum(m)))
+    """Average each bin of a T x F mask with its conjugate partner; makes it even.
+
+    0.5 * (m + m[perm]) with perm the frequency negation (an involution),
+    so the map is self-adjoint and the backward applies it to the cotangent.
+    """
+    perm = np.ix_(_negation_perm(m.shape[0]), _negation_perm(m.shape[1]))
+
+    def average(a: np.ndarray) -> np.ndarray:
+        return 0.5 * (a + a[perm])
+
+    return Tensor._from_op(average(m.data), (m,), lambda g: (average(g),), "symmetrize")
 
 
 def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:

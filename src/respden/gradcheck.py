@@ -260,23 +260,10 @@ def composed_model_suite(seed: int = 0, max_entries: int = 8) -> list[CheckRow]:
     )
 
 
-def run_gradcheck(seed: int = 0, max_entries: int = 8,
-                  corrupt_param: str | None = None) -> tuple[list[CheckRow], bool]:
-    """Full verification suite; returns (rows, all_passed).
-
-    `corrupt_param` is a harness hook: it perturbs the named composed-model
-    row's reported error so the failure path is testable end to end.
-    """
+def run_gradcheck(seed: int = 0, max_entries: int = 8) -> tuple[list[CheckRow], bool]:
+    """Full verification suite; returns (rows, all_passed)."""
     rows = per_op_suite(seed)
     model_rows = composed_model_suite(seed, max_entries)
     for r in model_rows:
         rows.append(CheckRow(f"model.{r.name}", r.max_rel_err, r.n_checked, MODEL_TOL))
-    if corrupt_param is not None:
-        hit = False
-        for i, r in enumerate(rows):
-            if r.name == corrupt_param:
-                rows[i] = CheckRow(r.name, r.max_rel_err + 1.0, r.n_checked, r.tol)
-                hit = True
-        if not hit:
-            raise ValueError(f"corrupt_param '{corrupt_param}' matches no check row")
     return rows, all(r.passed for r in rows)

@@ -39,10 +39,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values produced by {what}")
@@ -97,9 +93,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         if self.requires_grad:
@@ -237,24 +230,6 @@ def neg(a: Tensor) -> Tensor:
         return (-g,)
 
     return Tensor._from_op(-a.data, (a,), backward, "neg")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return Tensor._from_op(out, (a,), backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return Tensor._from_op(out, (a,), backward, "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:

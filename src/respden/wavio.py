@@ -24,14 +24,15 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
         rate, data = wavfile.read(path)
     except ValueError as exc:
         raise DatasetError(f"unreadable WAV file {path}: {exc}") from exc
-    if data.ndim == 2:
-        data = data.astype(np.float64).mean(axis=1)
+    # scale first: the averaged channels are float, which loses the PCM type
     if data.dtype in _PCM_SCALE:
         samples = data.astype(np.float64) / _PCM_SCALE[data.dtype]
     elif data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:
         samples = data.astype(np.float64)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
     return np.clip(samples, -1.0, 1.0), int(rate)
 
 

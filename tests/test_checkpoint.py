@@ -6,7 +6,6 @@ import pytest
 from respden.checkpoint import (
     Checkpoint,
     adam_from_checkpoint,
-    bind_params,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -113,23 +112,33 @@ class TestCorruption:
 
 class TestBinding:
     def test_dim_mismatch_names_first_offending_tensor(self, tmp_path):
+        # dim-96 tensors stored under a dim-32 config
         big = Model(small_cfg(dim=96, heads=4))
         path = tmp_path / "big.bin"
         save_checkpoint(checkpoint_from_model(big, epoch=0), str(path))
-        small = Model(small_cfg(dim=32))
+        ckpt = load_checkpoint(str(path))
+        ckpt.config = small_cfg(dim=32).snapshot()
         with pytest.raises(ShapeError, match="patch.w"):
-            bind_params(small, load_checkpoint(str(path)))
+            model_from_checkpoint(ckpt)
 
     def test_missing_parameter(self, saved):
-        model, _, path = saved
+        _, _, path = saved
         ckpt = load_checkpoint(path)
         del ckpt.params["pos"]
         with pytest.raises(CheckpointError, match="pos"):
-            bind_params(model, ckpt)
+            model_from_checkpoint(ckpt)
 
     def test_unknown_parameter(self, saved):
-        model, _, path = saved
+        _, _, path = saved
         ckpt = load_checkpoint(path)
         ckpt.params["rogue"] = np.zeros(3)
         with pytest.raises(CheckpointError, match="rogue"):
-            bind_params(model, ckpt)
+            model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, saved, value):
+        _, _, path = saved
+        ckpt = load_checkpoint(path)
+        ckpt.params["block0.lam"][0] = value
+        with pytest.raises(CheckpointError, match="block0.lam"):
+            model_from_checkpoint(ckpt)

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from respden.checkpoint import load_checkpoint, model_from_checkpoint
+from respden.checkpoint import (
+    checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint,
+)
 from respden.cli import main
 from respden.config import RunConfig, validate_config
 from respden.model import Model, seed_stream
@@ -98,6 +100,16 @@ class TestExitCodes:
         assert code == 3
         assert "magic" in err
 
+    def test_non_finite_checkpoint_is_3(self, tmp_path, capsys):
+        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+        ckpt = checkpoint_from_model(Model(cfg), epoch=0)
+        ckpt.params["pos"][0, 0] = np.nan
+        path = tmp_path / "nan.bin"
+        save_checkpoint(ckpt, str(path))
+        code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "pos" in err
+
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs = 9\nbatch = 2\n")
@@ -118,9 +130,9 @@ class TestGradcheckCommand:
         for group in ("aff", "lam", "wq", "phi"):
             assert group in out
 
-    def test_corrupt_hook_fails_with_exit_1(self, capsys):
-        code, out, _ = run(["gradcheck", "--seed", "0", "--max-entries", "2",
-                            "--corrupt-param", "model.block0.wq"], capsys)
+    def test_corrupt_hook_fails_with_exit_1(self, capsys, corrupt_model_row):
+        corrupt_model_row("block0.wq")
+        code, out, _ = run(["gradcheck", "--seed", "0", "--max-entries", "2"], capsys)
         assert code == 1
         assert "FAIL" in out and "model.block0.wq" in out
 

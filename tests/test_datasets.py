@@ -197,6 +197,16 @@ class TestWavRoundtrip:
         assert rate == 8000 and mono.shape == (500,)
         np.testing.assert_allclose(mono, stereo.astype(np.float64).mean(axis=1), atol=1e-7)
 
+        # integer PCM is scaled by its own type before the channels are averaged
+        pcm16 = rng.integers(-32768, 32768, size=(500, 2)).astype(np.int16)
+        wavfile.write(str(path), 8000, pcm16)
+        mono, _ = read_wav(str(path))
+        np.testing.assert_array_equal(mono, (pcm16 / 32768.0).mean(axis=1))
+        pcm8 = rng.integers(0, 256, size=(500, 2)).astype(np.uint8)
+        wavfile.write(str(path), 8000, pcm8)
+        mono, _ = read_wav(str(path))
+        np.testing.assert_array_equal(mono, ((pcm8 - 128.0) / 128.0).mean(axis=1))
+
     def test_missing_file(self):
         with pytest.raises(MissingAudioError):
             read_wav("/nonexistent/file.wav")

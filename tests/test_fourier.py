@@ -4,38 +4,43 @@ import numpy as np
 import pytest
 
 from respden.errors import NumericError, ShapeError
-from respden.fourier import ComplexTensor, fft2, ifft2, scale_complex
+from respden.fourier import fft2, ifft2, scale_complex
 from respden.gradcheck import check_loss_gradients
 from respden.tensor import Tensor, mul, total_sum
 
 from oracles import dft2_direct, idft2_direct
 
 
+def to_complex(spec: Tensor) -> np.ndarray:
+    return spec.data[0] + 1j * spec.data[1]
+
+
 class TestForwardTransform:
     def test_constant_input_is_dc_only(self):
         c = 2.5
         spec = fft2(Tensor(np.full((5, 7), c)))
-        assert abs(spec.re.data[0, 0] - c * 5 * 7) < 1e-9
-        rest = np.abs(spec.to_complex())
+        assert spec.shape == (2, 5, 7)
+        assert abs(spec.data[0, 0, 0] - c * 5 * 7) < 1e-9
+        rest = np.abs(to_complex(spec))
         rest[0, 0] = 0.0
         assert rest.max() < 1e-9
 
     def test_matches_quadruple_loop_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 4))
-        got = fft2(Tensor(x)).to_complex()
+        got = to_complex(fft2(Tensor(x)))
         np.testing.assert_allclose(got, dft2_direct(x), atol=1e-9)
 
     def test_oracle_agreement_up_to_8x8(self):
         rng = np.random.default_rng(1)
         for shape in ((3, 5), (8, 8), (7, 2)):
             x = rng.standard_normal(shape)
-            np.testing.assert_allclose(fft2(Tensor(x)).to_complex(), dft2_direct(x), atol=1e-9)
+            np.testing.assert_allclose(to_complex(fft2(Tensor(x))), dft2_direct(x), atol=1e-9)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((8, 8))
-        spec = fft2(Tensor(x)).to_complex()
+        spec = to_complex(fft2(Tensor(x)))
         lhs = np.sum(x**2)
         rhs = np.sum(np.abs(spec) ** 2) / x.size
         assert abs(lhs - rhs) / abs(lhs) < 1e-9
@@ -60,15 +65,14 @@ class TestInverseTransform:
             assert np.abs(back.data - x).max() < 1e-9
 
     def test_zero_spectrum_gives_zero_signal(self):
-        zeros = ComplexTensor(Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))))
+        zeros = Tensor(np.zeros((2, 4, 4)))
         np.testing.assert_array_equal(ifft2(zeros).data, 0.0)
 
     def test_non_hermitian_spectrum_rejected(self):
-        re = np.zeros((4, 4))
-        im = np.zeros((4, 4))
-        im[1, 1] = 1.0  # no conjugate partner -> complex inverse
+        spec = np.zeros((2, 4, 4))
+        spec[1, 1, 1] = 1.0  # no conjugate partner -> complex inverse
         with pytest.raises(NumericError, match="imaginary residue"):
-            ifft2(ComplexTensor(Tensor(re), Tensor(im)))
+            ifft2(Tensor(spec))
 
     def test_inverse_matches_direct_inverse_oracle(self):
         rng = np.random.default_rng(5)
@@ -76,9 +80,10 @@ class TestInverseTransform:
         spec = np.fft.fft2(x)
         np.testing.assert_allclose(idft2_direct(spec).real, x, atol=1e-9)
 
-    def test_mismatched_parts_rejected(self):
-        with pytest.raises(ShapeError):
-            ComplexTensor(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    def test_non_stacked_spectrum_rejected(self):
+        for shape in ((4, 4), (3, 4, 4), (1, 4, 4), (2, 4), (2, 2, 4, 4)):
+            with pytest.raises(ShapeError, match=r"\(2, T, F\)"):
+                ifft2(Tensor(np.zeros(shape)))
 
 
 class TestGradients:
@@ -98,15 +103,13 @@ class TestGradients:
         assert rows[0].max_rel_err < 1e-4
 
     def test_spectrum_gradient_adjoint(self):
-        # loss = sum(weights * re) + sum(weights2 * im); the pullback is linear
+        # loss = sum(w[0] * re) + sum(w[1] * im); the pullback is linear
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w_re = Tensor(rng.standard_normal((3, 4)))
-        w_im = Tensor(rng.standard_normal((3, 4)))
+        weights = Tensor(rng.standard_normal((2, 3, 4)))
 
         def loss():
-            spec = fft2(x)
-            return total_sum(mul(w_re, spec.re)) + total_sum(mul(w_im, spec.im))
+            return total_sum(mul(weights, fft2(x)))
 
         rows = check_loss_gradients(loss, {"x": x})
         assert rows[0].max_rel_err < 1e-4

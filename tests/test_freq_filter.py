@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from respden.errors import NumericError
-from respden.fourier import ComplexTensor, fft2
+from respden.fourier import fft2
 from respden.freq_filter import (
-    MASK_BLOCK, FilterParams, filter_forward, mask_net, mirror_spectrum, symmetrize,
+    MASK_BLOCK, FilterParams, filter_forward, mask_net, symmetrize,
 )
 from respden.gradcheck import check_loss_gradients
 from respden.tensor import Tensor, mul, soft_shrink, total_sum
@@ -63,8 +63,7 @@ class TestFusedMaskNet:
 
     def spectrum_and_params(self):
         rng = np.random.default_rng(20)
-        spec = ComplexTensor(Tensor(rng.standard_normal(self.SHAPE), requires_grad=True),
-                             Tensor(rng.standard_normal(self.SHAPE), requires_grad=True))
+        spec = Tensor(rng.standard_normal((2, *self.SHAPE)), requires_grad=True)
         hidden = 7
         params = FilterParams(
             Tensor(rng.standard_normal((2, hidden)), requires_grad=True),
@@ -80,7 +79,7 @@ class TestFusedMaskNet:
         assert n > MASK_BLOCK and n % MASK_BLOCK != 0
         spec, params = self.spectrum_and_params()
         w1, b1, w2, b2 = (p.data for p in (params.w1, params.b1, params.w2, params.b2))
-        z = spec.re.data[..., None] * w1[0] + spec.im.data[..., None] * w1[1] + b1
+        z = spec.data[0, ..., None] * w1[0] + spec.data[1, ..., None] * w1[1] + b1
         # every unit is off at some bins and on at others, and no
         # pre-activation sits on the kink, so both backward branches count
         assert (z > 0).any(axis=(0, 1)).all() and (z < 0).any(axis=(0, 1)).all()
@@ -90,11 +89,11 @@ class TestFusedMaskNet:
         out = mask_net(spec, params)
         total_sum(mul(Tensor(g), out)).backward()
 
-        complex_spec = spec.re.data + 1j * spec.im.data
+        complex_spec = spec.data[0] + 1j * spec.data[1]
         want = pointwise_mask_mlp(complex_spec, w1, b1, w2.reshape(-1), b2[0])
         assert normwise_rel_err(out.data, want) <= 1e-12
         want_grads = pointwise_mask_mlp_grads(complex_spec, w1, b1, w2.reshape(-1), b2[0], g)
-        got_grads = (spec.re.grad, spec.im.grad, params.w1.grad, params.b1.grad,
+        got_grads = (spec.grad[0], spec.grad[1], params.w1.grad, params.b1.grad,
                      params.w2.grad.reshape(-1), params.b2.grad[0])
         for name, got, want in zip(("re", "im", "w1", "b1", "w2", "b2"), got_grads, want_grads):
             assert normwise_rel_err(np.asarray(got), np.asarray(want)) <= 1e-12, name
@@ -110,10 +109,10 @@ class TestFusedMaskNet:
 
 
 class TestSymmetrization:
-    def test_mirror_is_involution(self):
+    def test_symmetrize_is_idempotent(self):
         rng = np.random.default_rng(2)
-        m = Tensor(rng.standard_normal((5, 6)))
-        np.testing.assert_array_equal(mirror_spectrum(mirror_spectrum(m)).data, m.data)
+        sym = symmetrize(Tensor(rng.standard_normal((5, 6)))).data
+        np.testing.assert_array_equal(symmetrize(Tensor(sym)).data, sym)
 
     def test_symmetrized_mask_is_even(self):
         rng = np.random.default_rng(3)
@@ -122,6 +121,15 @@ class TestSymmetrization:
         for u in range(t_n):
             for v in range(f_n):
                 assert sym[u, v] == sym[(-u) % t_n, (-v) % f_n]
+
+    def test_gradient_is_the_symmetrized_cotangent(self):
+        rng = np.random.default_rng(14)
+        m = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        weights = rng.standard_normal((5, 6))
+        total_sum(mul(Tensor(weights), symmetrize(m))).backward()
+        np.testing.assert_array_equal(m.grad, symmetrize(Tensor(weights)).data)
+        rows = check_loss_gradients(lambda: total_sum(mul(Tensor(weights), symmetrize(m))), {"m": m})
+        assert rows[0].max_rel_err < 1e-4
 
 
 class TestFilterForward:
