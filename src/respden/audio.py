@@ -5,16 +5,21 @@ Every clip, real or synthetic, is standardized to 8 s at 16 kHz
 spectrogram conventions that the pipeline does not inherit from elsewhere
 (FFT size, hop, mel scale, log floor) live in `SpectrogramConfig` so runs
 are reproducible; the analysis window is always the periodic Hann.
+
+The fixed filters are designed once, not once per clip: the resampling
+low-pass once per (up, down) rate pair, the analysis window and the mel
+filterbank once per process, from `DEFAULT_SPEC_CONFIG`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import ShapeError
 
@@ -58,7 +63,7 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrogramConfig:
     sample_rate: int = TARGET_RATE
     n_fft: int = 1024
@@ -97,6 +102,23 @@ class Spectrogram:
 # -- waveform stages -----------------------------------------------------------
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=4)
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """The anti-aliasing FIR `resample_poly` designs by default, read-only.
+
+    The bound is small because the filter has 20 * max(up, down) + 1 taps:
+    three device rates need three entries, and an odd rate such as 44101 Hz
+    needs megabytes.
+    """
+    m = max(up, down)
+    return _read_only(firwin(2 * 10 * m + 1, 1.0 / m, window=("kaiser", 5.0)))
+
+
 def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
     """Band-limited (polyphase windowed-sinc) resampling.
 
@@ -109,7 +131,8 @@ def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
         return clip
     g = math.gcd(target_rate, clip.sample_rate)
     up, down = target_rate // g, clip.sample_rate // g
-    out = resample_poly(clip.samples, up, down)
+    # resample_poly copies an explicit window before scaling it by `up`
+    out = resample_poly(clip.samples, up, down, window=_lowpass(up, down))
     want = int(round(clip.samples.size * target_rate / clip.sample_rate))
     out = out[:want]
     if out.size < want:  # pragma: no cover - resample_poly returns ceil(n*up/down) >= want
@@ -175,24 +198,27 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig = DEFAULT_SPEC_CONFIG) -> Spectrogram:
+_WINDOW = _read_only(_hann_periodic(DEFAULT_SPEC_CONFIG.n_fft))
+_MEL_BANK_T = _read_only(np.ascontiguousarray(mel_filterbank(DEFAULT_SPEC_CONFIG).T))
+
+
+def mel_spectrogram(clip: AudioClip) -> Spectrogram:
     """STFT power -> mel filterbank -> log(x + floor); no centering pad."""
+    cfg = DEFAULT_SPEC_CONFIG
     if clip.sample_rate != cfg.sample_rate or clip.samples.size != TARGET_SAMPLES:
         raise ShapeError(
             f"mel_spectrogram requires {TARGET_SAMPLES} samples at {cfg.sample_rate} Hz, "
             f"got {clip.samples.size} at {clip.sample_rate} Hz"
         )
-    n_frames = 1 + (clip.samples.size - cfg.n_fft) // cfg.hop
     stride = clip.samples.strides[0]
     frames = np.lib.stride_tricks.as_strided(
-        clip.samples, shape=(n_frames, cfg.n_fft), strides=(cfg.hop * stride, stride)
+        clip.samples, shape=(N_FRAMES, cfg.n_fft), strides=(cfg.hop * stride, stride)
     )
-    window = _hann_periodic(cfg.n_fft)
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-    mel = power @ mel_filterbank(cfg).T
+    power = np.abs(np.fft.rfft(frames * _WINDOW, axis=1)) ** 2
+    mel = power @ _MEL_BANK_T
     return Spectrogram(np.log(mel + cfg.log_floor), frame_rate=cfg.sample_rate / cfg.hop)
 
 
-def preprocess(clip: AudioClip, cfg: SpectrogramConfig = DEFAULT_SPEC_CONFIG) -> Spectrogram:
+def preprocess(clip: AudioClip) -> Spectrogram:
     """Full pipeline: resample -> fix_length -> normalize_amplitude -> mel."""
-    return mel_spectrogram(normalize_amplitude(fix_length(resample(clip))), cfg)
+    return mel_spectrogram(normalize_amplitude(fix_length(resample(clip))))

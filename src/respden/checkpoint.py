@@ -14,18 +14,26 @@ Layout (all integers little-endian):
 
 Parameters are stored under their model names; Adam moments, when present,
 under ``adam.m:<name>`` / ``adam.v:<name>``. Roundtrips are bitwise.
+
+The reader checks every declared length against the bytes left in the
+file before reading, so a damaged file allocates no more than its size,
+and every malformed field raises a `CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import RunConfig, validate_config
-from .errors import BadMagicError, CheckpointError, ShapeError, TruncatedError, VersionError
+from .errors import (
+    BadMagicError, CheckpointError, ShapeError, TruncatedError, UsageError, VersionError,
+)
 from .model import Model, param_shapes
 from .optim import AdamState
 from .tensor import Tensor
@@ -44,7 +52,11 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
-        return validate_config(RunConfig(**self.config))
+        """The stored config, validated; a stored config that is not valid is a corrupt file."""
+        try:
+            return validate_config(RunConfig(**self.config))
+        except (TypeError, UsageError) as exc:
+            raise CheckpointError(f"checkpoint holds an invalid config: {exc}") from exc
 
 
 def checkpoint_from_model(model: Model, epoch: int, adam: AdamState | None = None) -> Checkpoint:
@@ -87,38 +99,56 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             _write_block(fh, name, arr)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
+def _read_exact(fh, size: int, n: int, what: str) -> bytes:
+    """Exactly `n` bytes of a `size`-byte file, or `TruncatedError`.
+
+    The length is checked against the bytes left before anything is read,
+    so a corrupt length field cannot ask for more memory than the file holds.
+    """
+    data = fh.read(n) if n <= size - fh.tell() else b""
     if len(data) != n:
         raise TruncatedError(f"checkpoint truncated while reading {what}")
     return data
 
 
+def _read_u32(fh, size: int, what: str) -> int:
+    return struct.unpack("<I", _read_exact(fh, size, 4, what))[0]
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
+        version = _read_u32(fh, size, "version")
         if version != VERSION:
             raise VersionError(f"unsupported checkpoint version {version}, expected {VERSION}")
-        hlen = struct.unpack("<I", _read_exact(fh, 4, "header length"))[0]
+        hlen = _read_u32(fh, size, "header length")
         try:
-            header = json.loads(_read_exact(fh, hlen, "header"))
+            header = json.loads(_read_exact(fh, size, hlen, "header"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        nblocks = struct.unpack("<I", _read_exact(fh, 4, "block count"))[0]
+        if not isinstance(header, dict):
+            raise CheckpointError(f"checkpoint header is a JSON {type(header).__name__}, not an object")
+        nblocks = _read_u32(fh, size, "block count")
         params: dict[str, np.ndarray] = {}
         adam_m: dict[str, np.ndarray] = {}
         adam_v: dict[str, np.ndarray] = {}
         for _ in range(nblocks):
-            nlen = struct.unpack("<I", _read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, nlen, "block name").decode("utf-8")
-            ndim = struct.unpack("<I", _read_exact(fh, 4, f"ndim of '{name}'"))[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of '{name}'"))
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(fh, 8 * count, f"data of '{name}'")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raw_name = _read_exact(fh, size, _read_u32(fh, size, "name length"), "block name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"checkpoint block name is not UTF-8: {raw_name!r}") from exc
+            ndim = _read_u32(fh, size, f"ndim of '{name}'")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, size, 4 * ndim, f"shape of '{name}'"))
+            count = math.prod(shape)  # a Python int: cannot overflow
+            raw = _read_exact(fh, size, 8 * count, f"data of '{name}'")
+            try:
+                arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # too many dimensions, or a zero among huge extents
+                raise CheckpointError(f"checkpoint block '{name}' has an unusable shape: {exc}") from exc
             if name.startswith("adam.m:"):
                 adam_m[name[len("adam.m:"):]] = arr
             elif name.startswith("adam.v:"):
@@ -127,14 +157,12 @@ def load_checkpoint(path: str) -> Checkpoint:
                 params[name] = arr
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared blocks")
-    return Checkpoint(
-        config=header.get("config", {}),
-        epoch=int(header.get("epoch", 0)),
-        params=params,
-        adam_step=header.get("adam_step"),
-        adam_m=adam_m,
-        adam_v=adam_v,
-    )
+    config, epoch, adam_step = header.get("config", {}), header.get("epoch", 0), header.get("adam_step")
+    if not (isinstance(config, dict) and type(epoch) is int
+            and (adam_step is None or type(adam_step) is int)):
+        raise CheckpointError("checkpoint header needs an object config, an int epoch "
+                              "and an int or null adam_step")
+    return Checkpoint(config, epoch, params, adam_step, adam_m, adam_v)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:

@@ -81,7 +81,8 @@ def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
 
     def backward(g):
         g = g.reshape(n, 1)
-        d_feats = np.empty((n, 2))
+        # a data spectrum needs no pullback; the tape skips a None
+        d_feats = np.empty((n, 2)) if spectrum.requires_grad else None
         d_w1 = np.zeros_like(w1.data)
         d_b1 = np.zeros_like(b1.data)
         d_w2 = np.zeros_like(w2.data)
@@ -92,9 +93,11 @@ def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
             d_z *= h > 0.0
             d_b1 += d_z.sum(axis=0)
             d_w1 += feats[blk].T @ d_z
-            d_feats[blk] = d_z @ w1.data.T
+            if d_feats is not None:
+                d_feats[blk] = d_z @ w1.data.T
         d_b2 = g.sum(axis=0)
-        return d_feats.T.reshape(2, t, f), d_w1, d_b1, d_w2, d_b2
+        d_spectrum = None if d_feats is None else d_feats.T.reshape(2, t, f)
+        return d_spectrum, d_w1, d_b1, d_w2, d_b2
 
     return Tensor._from_op(out.reshape(t, f), (spectrum, w1, b1, w2, b2), backward, "mask_net")
 

@@ -1,7 +1,8 @@
 """RIFF WAV reading/writing for the dataset layer.
 
-Decoding is delegated to scipy (PCM 16/24/32-bit and float formats);
-samples are returned as float64 in [-1, 1], stereo averaged down to mono.
+Decoding is delegated to scipy (8-bit unsigned, 16/24/32-bit signed PCM
+and float formats); samples are returned as float64 in [-1, 1], stereo
+averaged down to mono. Float data is clipped to [-1, 1] after averaging.
 """
 
 from __future__ import annotations
@@ -25,15 +26,19 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise DatasetError(f"unreadable WAV file {path}: {exc}") from exc
     # scale first: the averaged channels are float, which loses the PCM type
+    scaled = data.dtype in _PCM_SCALE or data.dtype == np.uint8
     if data.dtype in _PCM_SCALE:
-        samples = data.astype(np.float64) / _PCM_SCALE[data.dtype]
+        # one pass; the scale is a power of two, so this equals dividing
+        samples = np.multiply(data, 1.0 / _PCM_SCALE[data.dtype], dtype=np.float64)
     elif data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:
         samples = data.astype(np.float64)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return np.clip(samples, -1.0, 1.0), int(rate)
+    if not scaled:  # scaled PCM already lies in [-1, 1)
+        samples = np.clip(samples, -1.0, 1.0)
+    return samples, int(rate)
 
 
 def write_wav(path: str, samples: np.ndarray, sample_rate: int) -> None:

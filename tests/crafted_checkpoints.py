@@ -1,0 +1,39 @@
+"""Hand-built checkpoint files, each malformed in one way the reader must reject.
+
+Every file is a complete container up to its one fault, so the reader gets
+as far as that fault and no further.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+
+from respden.checkpoint import MAGIC, VERSION
+
+
+def container(header: bytes, blocks: bytes = b"", nblocks: int = 0) -> bytes:
+    return (MAGIC + struct.pack("<II", VERSION, len(header)) + header
+            + struct.pack("<I", nblocks) + blocks)
+
+
+def block_head(name: bytes, extents: list[int]) -> bytes:
+    """A block up to, not including, its data."""
+    return (struct.pack("<I", len(name)) + name
+            + struct.pack(f"<I{len(extents)}I", len(extents), *extents))
+
+
+def header(config: dict) -> bytes:
+    return json.dumps({"config": config, "epoch": 0, "adam_step": None}).encode("utf-8")
+
+
+#: name -> the bytes of a container with that one fault
+MALFORMED = {
+    # the element count overflows int64
+    "extents_overflow": container(header({}), block_head(b"pos", [2**32 - 1] * 3), 1),
+    # the element count is 2**64, which wraps to 0 in int64
+    "extents_wrap_to_zero": container(header({}), block_head(b"pos", [2**21, 2**21, 2**22]), 1),
+    "block_name_not_utf8": container(header({}), block_head(b"\xff\xfe", [1]) + bytes(8), 1),
+    "header_not_object": container(b"[1, 2]"),
+    "unknown_config_key": container(header({"warp_speed": 9})),
+}

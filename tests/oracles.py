@@ -186,3 +186,30 @@ def dft_frame_direct(frame: np.ndarray) -> np.ndarray:
     re = (np.cos(angles) * frame).sum(axis=1)
     im = -(np.sin(angles) * frame).sum(axis=1)
     return re + 1j * im
+
+
+def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_fft: int = 1024,
+                             hop: int = 512, n_mels: int = 64, fmin: float = 0.0,
+                             fmax: float = 8000.0, log_floor: float = 1e-6) -> np.ndarray:
+    """Log-mel energies with the periodic Hann window and the triangular
+    filterbank rebuilt, one band at a time, on every call."""
+
+    def hz_to_mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+    def mel_to_hz(m):
+        return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+
+    n_bins = n_fft // 2 + 1
+    fft_freqs = np.arange(n_bins) * sample_rate / n_fft
+    hz_pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    bank = np.zeros((n_mels, n_bins))
+    for i in range(n_mels):
+        lo, ctr, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
+        tri = np.maximum(0.0, np.minimum((fft_freqs - lo) / (ctr - lo), (hi - fft_freqs) / (hi - ctr)))
+        bank[i] = tri * 2.0 / (hi - lo)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    n_frames = 1 + (samples.size - n_fft) // hop
+    frames = np.stack([samples[i * hop:i * hop + n_fft] for i in range(n_frames)])
+    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    return np.log(power @ bank.T + log_floor)

@@ -1,8 +1,12 @@
 """Preprocessing pipeline: resampling, length fixing, normalization, mel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
+from respden import audio
 from respden.audio import (
     AudioClip,
     DEFAULT_SPEC_CONFIG,
@@ -19,7 +23,7 @@ from respden.audio import (
 )
 from respden.errors import ShapeError
 
-from oracles import dft_frame_direct, dft_peak_hz
+from oracles import dft_frame_direct, dft_peak_hz, mel_spectrogram_per_call
 
 
 def make_clip(samples, rate=16000, label=Label.NORMAL):
@@ -49,6 +53,20 @@ class TestResample:
         clip = make_clip(np.zeros(1001), rate=44100)
         out = resample(clip, 16000)
         assert out.samples.size == round(1001 * 16000 / 44100)
+
+    @pytest.mark.parametrize("rate,up,down", [(4000, 4, 1), (10000, 8, 5), (22050, 320, 441),
+                                              (44100, 160, 441)])
+    def test_cached_filter_is_bit_equal_to_default_design(self, rate, up, down):
+        x = np.random.default_rng(rate).uniform(-1, 1, int(2.7 * rate))
+        want = resample_poly(x, up, down)[: round(x.size * 16000 / rate)]
+        for _ in range(2):  # the second call reads the cached filter
+            np.testing.assert_array_equal(resample(make_clip(x, rate=rate)).samples, want)
+
+    def test_cached_filter_is_read_only(self):
+        taps = audio._lowpass(160, 441)
+        assert taps.size == 2 * 10 * 441 + 1
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
 
 
 class TestFixLength:
@@ -148,6 +166,21 @@ class TestMelSpectrogram:
         assert int(np.argmax(spec.values[0])) == oracle_band
         centers = band_centers_hz()
         assert oracle_band == int(np.argmin(np.abs(centers - 1000.0)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_equal_to_per_call_oracle(self, seed):
+        x = np.random.default_rng(seed).uniform(-1, 1, TARGET_SAMPLES)
+        np.testing.assert_array_equal(mel_spectrogram(make_clip(x)).values,
+                                      mel_spectrogram_per_call(x))
+
+    @pytest.mark.parametrize("name", ["_WINDOW", "_MEL_BANK_T"])
+    def test_analysis_constants_are_read_only(self, name):
+        with pytest.raises(ValueError):
+            getattr(audio, name)[0] = 1.0
+
+    def test_default_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_SPEC_CONFIG.n_fft = 512
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):

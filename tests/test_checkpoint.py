@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respden.checkpoint import (
     Checkpoint,
@@ -12,9 +13,13 @@ from respden.checkpoint import (
     save_checkpoint,
 )
 from respden.config import RunConfig, validate_config
-from respden.errors import BadMagicError, CheckpointError, ShapeError, TruncatedError, VersionError
+from respden.errors import (
+    BadMagicError, CheckpointError, NumericError, ShapeError, TruncatedError, VersionError,
+)
 from respden.model import Model
 from respden.optim import AdamState
+
+from crafted_checkpoints import MALFORMED
 
 
 def small_cfg(**kw):
@@ -104,6 +109,14 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_file_is_a_checkpoint_error(self, kind, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(MALFORMED[kind])
+        expected = TruncatedError if kind.startswith("extents") else CheckpointError
+        with pytest.raises(expected):
+            model_from_checkpoint(load_checkpoint(str(path)))
+
     def test_errors_are_distinct_types(self):
         assert BadMagicError is not VersionError is not TruncatedError
         for exc in (BadMagicError, VersionError, TruncatedError):
@@ -142,3 +155,49 @@ class TestBinding:
         ckpt.params["block0.lam"][0] = value
         with pytest.raises(CheckpointError, match="block0.lam"):
             model_from_checkpoint(ckpt)
+
+
+@pytest.fixture(scope="module")
+def minimal_file(tmp_path_factory):
+    """A checkpoint of the minimal benchmark model with Adam state, and a path for mutants."""
+    model = Model(small_cfg(dim=16, heads=2))
+    adam = AdamState()
+    adam.ensure(model.trainable())
+    adam.step = 2
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "ck.bin"
+    save_checkpoint(checkpoint_from_model(model, epoch=1, adam=adam), str(path))
+    return path.read_bytes(), workdir / "mutant.bin"
+
+
+def _load_mutant(raw: bytes, path) -> None:
+    """Load and bind `raw`; any failure must be one of the typed errors."""
+    path.write_bytes(raw)
+    try:
+        model_from_checkpoint(load_checkpoint(str(path)))
+    except (CheckpointError, ShapeError, NumericError):
+        pass
+
+
+class TestFuzz:
+    """Damaged containers: the reader succeeds or raises a typed error, never another."""
+
+    # offsets are drawn from the first 4 KiB (header, block heads, first
+    # tensors) as often as from the whole file, which is mostly float data
+    @staticmethod
+    def offsets(size: int):
+        return st.one_of(st.integers(0, min(size, 4096) - 1), st.integers(0, size - 1))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_at_any_offset(self, minimal_file, data):
+        raw, path = minimal_file
+        _load_mutant(raw[: data.draw(self.offsets(len(raw)))], path)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), flip=st.integers(1, 255))
+    def test_any_byte_flipped(self, minimal_file, data, flip):
+        raw, path = minimal_file
+        mutant = bytearray(raw)
+        mutant[data.draw(self.offsets(len(raw)))] ^= flip
+        _load_mutant(bytes(mutant), path)

@@ -14,6 +14,8 @@ from respden.config import RunConfig, validate_config
 from respden.model import Model, seed_stream
 from respden.train import evaluate_split, prepare_data
 
+from crafted_checkpoints import MALFORMED
+
 TINY = [
     "--dim", "32", "--heads", "4", "--layers", "1", "--mask-hidden", "4",
     "--train-per-class", "2", "--test-per-class", "1",
@@ -109,6 +111,14 @@ class TestExitCodes:
         code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
         assert code == 3
         assert err.startswith("error:") and "pos" in err
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_checkpoint_is_3(self, kind, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(MALFORMED[kind])
+        code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error:")
 
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -206,6 +206,21 @@ class TestWavRoundtrip:
         wavfile.write(str(path), 8000, pcm8)
         mono, _ = read_wav(str(path))
         np.testing.assert_array_equal(mono, ((pcm8 - 128.0) / 128.0).mean(axis=1))
+        pcm32 = rng.integers(-2**31, 2**31, size=(500, 2)).astype(np.int32)
+        wavfile.write(str(path), 8000, pcm32)
+        mono, _ = read_wav(str(path))
+        np.testing.assert_array_equal(mono, (pcm32 / 2147483648.0).mean(axis=1))
+
+        # the int16 extremes are exact and need no clipping
+        wavfile.write(str(path), 8000, np.array([-32768, 32767, 0], dtype=np.int16))
+        mono, _ = read_wav(str(path))
+        np.testing.assert_array_equal(mono, [-1.0, 32767 / 32768, 0.0])
+
+        # float data is clipped to [-1, 1] after the channels are averaged
+        loud = np.array([[1.5, 0.25], [1.5, 1.25], [-3.0, 0.5], [0.5, 0.25]], dtype=np.float32)
+        wavfile.write(str(path), 8000, loud)
+        mono, _ = read_wav(str(path))
+        np.testing.assert_array_equal(mono, [0.875, 1.0, -1.0, 0.375])
 
     def test_missing_file(self):
         with pytest.raises(MissingAudioError):

@@ -98,6 +98,21 @@ class TestFusedMaskNet:
         for name, got, want in zip(("re", "im", "w1", "b1", "w2", "b2"), got_grads, want_grads):
             assert normwise_rel_err(np.asarray(got), np.asarray(want)) <= 1e-12, name
 
+    def test_data_spectrum_gets_no_pullback(self):
+        # the model's spectrum never requires grad; its pullback is skipped
+        # and the parameter gradients are those of a spectrum that does
+        g = np.random.default_rng(22).standard_normal(self.SHAPE)
+        spec, params = self.spectrum_and_params()
+        total_sum(mul(Tensor(g), mask_net(spec, params))).backward()
+        want = [p.grad.copy() for p in (params.w1, params.b1, params.w2, params.b2)]
+        for p in (params.w1, params.b1, params.w2, params.b2):
+            p.zero_grad()
+        out = mask_net(Tensor(spec.data), params)
+        assert out._backward_fn(g)[0] is None
+        total_sum(mul(Tensor(g), out)).backward()
+        for p, w in zip((params.w1, params.b1, params.w2, params.b2), want):
+            np.testing.assert_array_equal(p.grad, w)
+
     @pytest.mark.parametrize("weight", ["w1", "w2"])
     def test_overflow_raises_numeric_error(self, weight):
         # a huge finite weight overflows the hidden pre-activation (w1) or

@@ -189,6 +189,13 @@ class TestBackward:
         total_sum(used).backward()
         np.testing.assert_array_equal(unused.grad, [0.0])
 
+    def test_mul_skips_the_pullback_of_a_constant(self):
+        a = Tensor([2.0, 3.0])
+        b = Tensor([5.0, 7.0], requires_grad=True)
+        d_a, d_b = mul(a, b)._backward_fn(np.ones(2))
+        assert d_a is None
+        np.testing.assert_array_equal(d_b, [2.0, 3.0])
+
     def test_tape_is_freed(self):
         x = Tensor([1.0], requires_grad=True)
         y = x + x
