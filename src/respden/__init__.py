@@ -29,6 +29,7 @@ from .attention import (
     denoise_block,
     mhda,
     patch_embed,
+    swish_glu,
 )
 from .losses import HeadParams, bias_denoise_loss, ce_loss, smoothed_target, total_loss
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
@@ -42,7 +43,6 @@ from .tensor import (
     no_grad,
     soft_shrink,
     softmax,
-    swish_glu,
 )
 from .train import evaluate_split, prepare_data, train
 

@@ -1,23 +1,25 @@
 """Differential-attention backbone over spectrogram patches.
 
-Each block is pre-norm residual: LN -> multi-head differential attention,
-then LN -> SwishGLU. Attention computes two softmax maps from split
+Each block is pre-norm residual: x + attention(LN(x)), then
+y + SwishGLU(LN(y)). Attention computes two softmax maps from split
 query/key projections and subtracts the second, scaled by a learnable
 per-head (or shared) factor lambda, before multiplying by the values;
 common-mode attention mass cancels while stable structure survives.
 
-Differential attention is one fused tape node. Its forward projects the
-tokens once (`x @ wq`, `x @ wk`, `x @ wv`), views the projections as head
-arrays, (H, 2, N, d) for queries and keys and (H, N, d_v) for values,
-and computes all 2H score maps with one batched matmul scaled by
-1/sqrt(d), one max-subtracted softmax over (H, 2, N, N), the differential
-map a = m1 - lambda * m2, then a @ v with the heads merged back to
-(N, H * d_v) and multiplied by `wo`. The node keeps the head arrays, the
-softmax maps, a and the merged heads; its hand-derived backward returns
-the pullbacks of x, wq, wk, wv, wo and lambda (a shared lambda's pullback
-is summed over the heads). q, k and v, and the scores, are checked for
-NaN/Inf as they are made, and the output when the node is made, so an
-overflow anywhere in the layer raises `NumericError`.
+A block is two tape nodes, one per sublayer. Each hand-derived backward
+ends in the shared layer-norm pullback plus the residual identity.
+
+* `mhda` normalizes the tokens, projects them once (`wq`, `wk`, `wv`),
+  views the projections as head arrays, (H, 2, N, d) for queries and keys
+  and (H, N, d_v) for values, and computes all 2H score maps with one
+  batched matmul scaled by 1/sqrt(d), one max-subtracted softmax over
+  (H, 2, N, N), the differential map a = m1 - lambda * m2, then a @ v with
+  the heads merged back to (N, H * d_v), times `wo`, plus the input. It
+  keeps the normalized tokens, head arrays, softmax maps, a and the merged
+  heads; a shared lambda's pullback is summed over the heads. q, k, v and
+  the scores are checked for NaN/Inf as they are made.
+* `swish_glu` keeps n = LN(y), a = n @ w1, the branch-free sigmoid of a
+  and n @ w2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .audio import DEFAULT_SPEC_CONFIG, N_FRAMES
 from .errors import ShapeError
-from .tensor import Tensor, _check_finite, add, layer_norm, matmul, swish_glu
+from .tensor import Tensor, _check_finite, _ln_backward, _ln_forward, add, layer_norm, matmul
 
 PATCH = 16
 #: token grid over the zero-padded 256 x 64 spectrogram
@@ -75,16 +77,17 @@ class MhdaParams:
         return self.wv.shape[1] // self.heads
 
 
-def _mhda(x: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
-    """The fused attention node plus its (H, 2, N, N) softmax maps."""
+def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
+    """The fused attention sublayer node plus its (H, 2, N, N) softmax maps."""
     if x.data.ndim != 2 or x.shape[1] != params.wq.shape[0]:
         raise ShapeError(f"expected (N, {params.wq.shape[0]}) tokens to match wq rows, got {x.shape}")
     wq, wk, wv, wo, lam = params.wq, params.wk, params.wv, params.wo, params.lam
     n, h, d, dv = x.shape[0], params.heads, params.d_qk, params.d_v
     scale = 1.0 / math.sqrt(d)
-    q = x.data @ wq.data
-    k = x.data @ wk.data
-    v = x.data @ wv.data
+    xn, xhat, inv = _ln_forward(x.data, ln_g.data, ln_b.data)
+    q = xn @ wq.data
+    k = xn @ wk.data
+    v = xn @ wv.data
     _check_finite(q, "mhda query projection")
     _check_finite(k, "mhda key projection")
     _check_finite(v, "mhda value projection")
@@ -100,7 +103,7 @@ def _mhda(x: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
     lam_h = lam.data.reshape(-1, 1, 1)
     a = m[:, 0] - lam_h * m[:, 1]
     merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
-    out = merged @ wo.data
+    out = x.data + merged @ wo.data
 
     def backward(g):
         d_merged = g @ wo.data.T
@@ -119,32 +122,48 @@ def _mhda(x: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
         d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
         d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
         d_v = d_vh.transpose(1, 0, 2).reshape(n, h * dv)
-        d_x = d_q @ wq.data.T
-        d_x += d_k @ wk.data.T
-        d_x += d_v @ wv.data.T
-        return (d_x, x.data.T @ d_q, x.data.T @ d_k, x.data.T @ d_v, d_wo, d_lam)
+        d_xn = d_q @ wq.data.T + d_k @ wk.data.T + d_v @ wv.data.T
+        d_x, d_g, d_b = _ln_backward(d_xn, ln_g.data, xhat, inv)
+        d_x += g  # the residual
+        return (d_x, d_g, d_b, xn.T @ d_q, xn.T @ d_k, xn.T @ d_v, d_wo, d_lam)
 
-    return Tensor._from_op(out, (x, wq, wk, wv, wo, lam), backward, "mhda"), m
+    return Tensor._from_op(out, (x, ln_g, ln_b, wq, wk, wv, wo, lam), backward, "mhda"), m
 
 
-def mhda_with_maps(x: Tensor, params: MhdaParams) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """Differential attention plus the per-head softmax map pair.
-
-    The output is the fused tape node described in the module docstring:
-    one forward over all heads, with the head arrays, softmax maps,
-    differential map and merged heads kept for its hand-derived backward,
-    and NaN/Inf checks on q, k, v and the scores. The maps are
-    returned as constant Tensors (m1, m2) per head, each N x N with rows
-    summing to 1; they are views of the arrays the backward reads and
-    carry no gradient.
-    """
-    out, m = _mhda(x, params)
+def mhda_with_maps(x: Tensor, ln_g: Tensor, ln_b: Tensor,
+                   params: MhdaParams) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """`mhda` plus the per-head softmax maps as constant (m1, m2) Tensors, each N x N
+    with rows summing to 1: views of the arrays the backward reads, carrying no gradient."""
+    out, m = _mhda(x, ln_g, ln_b, params)
     return out, [(Tensor(pair[0]), Tensor(pair[1])) for pair in m]
 
 
-def mhda(x: Tensor, params: MhdaParams) -> Tensor:
-    """Multi-head differential attention as one tape node (see module doc)."""
-    return _mhda(x, params)[0]
+def mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> Tensor:
+    """x + differential attention of LN(x), as one tape node (see module doc)."""
+    return _mhda(x, ln_g, ln_b, params)[0]
+
+
+def swish_glu(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
+    """y + (swish(n @ w1) * (n @ w2)) @ w3 with n = LN(y) and swish(a) = a * sigmoid(a),
+    as one tape node (see module doc)."""
+    n, nhat, inv = _ln_forward(y.data, ln_g.data, ln_b.data)
+    a = n @ w1.data
+    # stable in both tails: 1/(1+e^-a) for a >= 0, e^a/(1+e^a) below, one division
+    ez = np.exp(-np.abs(a))
+    s = np.where(a >= 0, 1.0, ez) / (1.0 + ez)
+    v = n @ w2.data
+    out = y.data + (a * s * v) @ w3.data
+
+    def backward(g):
+        gate = a * s
+        d_h = g @ w3.data.T
+        d_a = d_h * v * s * (1.0 + a * (1.0 - s))
+        d_v = d_h * gate
+        d_y, d_g, d_b = _ln_backward(d_a @ w1.data.T + d_v @ w2.data.T, ln_g.data, nhat, inv)
+        d_y += g  # the residual
+        return d_y, d_g, d_b, n.T @ d_a, n.T @ d_v, (gate * v).T @ g
+
+    return Tensor._from_op(out, (y, ln_g, ln_b, w1, w2, w3), backward, "swish_glu")
 
 
 @dataclass
@@ -160,10 +179,9 @@ class BlockParams:
 
 
 def denoise_block(x: Tensor, params: BlockParams) -> Tensor:
-    """Pre-norm residual block: attention sublayer then gated FFN sublayer."""
-    y = add(x, mhda(layer_norm(x, params.ln1_g, params.ln1_b), params.attn))
-    return add(y, swish_glu(layer_norm(y, params.ln2_g, params.ln2_b),
-                            params.ffn_w1, params.ffn_w2, params.ffn_w3))
+    """Pre-norm residual block: the attention sublayer node, then the gated FFN sublayer node."""
+    y = mhda(x, params.ln1_g, params.ln1_b, params.attn)
+    return swish_glu(y, params.ln2_g, params.ln2_b, params.ffn_w1, params.ffn_w2, params.ffn_w3)
 
 
 @dataclass

@@ -13,7 +13,9 @@ Layout (all integers little-endian):
         data (prod(extents) float64 little-endian)
 
 Parameters are stored under their model names; Adam moments, when present,
-under ``adam.m:<name>`` / ``adam.v:<name>``. Roundtrips are bitwise.
+under ``adam.m:<name>`` / ``adam.v:<name>``. Roundtrips are bitwise. The writer
+fills ``<path>.tmp`` and renames it over the target, so a save that fails
+part-way leaves the previous file intact.
 
 The reader checks every declared length against the bytes left in the
 file before reading, so a damaged file allocates no more than its size,
@@ -89,14 +91,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     if ckpt.adam_step is not None:
         blocks += [(f"adam.m:{k}", v) for k, v in ckpt.adam_m.items()]
         blocks += [(f"adam.v:{k}", v) for k, v in ckpt.adam_v.items()]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks:
-            _write_block(fh, name, arr)
+    tmp = f"{path}.tmp"  # same directory, so the rename cannot cross file systems
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            fh.write(struct.pack("<I", len(blocks)))
+            for name, arr in blocks:
+                _write_block(fh, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, size: int, n: int, what: str) -> bytes:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import BlockParams, MhdaParams, denoise_block, mhda
+from .attention import BlockParams, MhdaParams, denoise_block, mhda, swish_glu
 from .config import RunConfig, validate_config
 from .freq_filter import FilterParams, filter_forward
 from .losses import HeadParams, bias_denoise_loss, ce_loss
@@ -31,7 +31,6 @@ from .tensor import (
     no_grad,
     soft_shrink,
     softmax,
-    swish_glu,
     total_sum,
 )
 
@@ -148,11 +147,14 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
           {"x": x_ln, "gamma": g_ln, "beta": b_ln})
 
     x_gl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    g_gl = Tensor(rng.standard_normal(4), requires_grad=True)
+    b_gl = Tensor(rng.standard_normal(4), requires_grad=True)
     w1 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     w2 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    check("swish_glu", lambda: _weighted_sum(swish_glu(x_gl, w1, w2, w3), np.random.default_rng(11)),
-          {"x": x_gl, "w1": w1, "w2": w2, "w3": w3})
+    check("swish_glu",
+          lambda: _weighted_sum(swish_glu(x_gl, g_gl, b_gl, w1, w2, w3), np.random.default_rng(11)),
+          {"x": x_gl, "ln.g": g_gl, "ln.b": b_gl, "w1": w1, "w2": w2, "w3": w3})
 
     # keep probe points away from the |x| = alpha kink (step is 1e-3)
     raw = rng.standard_normal((3, 4))
@@ -175,7 +177,7 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
 
     check("fourier_chain", fourier_loss, {"x": x_f})
 
-    # differential attention and one full block
+    # the attention sublayer, x + attention(LN(x)), and one full block
     d_model, heads = 8, 2
     wq = Tensor(rng.standard_normal((d_model, d_model)), requires_grad=True)
     wk = Tensor(rng.standard_normal((d_model, d_model)), requires_grad=True)
@@ -183,21 +185,24 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     wo = Tensor(rng.standard_normal((d_model, d_model)), requires_grad=True)
     lam = Tensor(np.full(heads, 0.8), requires_grad=True)
     x_at = Tensor(rng.standard_normal((4, d_model)), requires_grad=True)
+    g_at = Tensor(1.0 + 0.3 * rng.standard_normal(d_model), requires_grad=True)
+    b_at = Tensor(0.3 * rng.standard_normal(d_model), requires_grad=True)
     attn = MhdaParams(wq, wk, wv, wo, lam, heads)
-    check("mhda", lambda: _weighted_sum(mhda(x_at, attn), np.random.default_rng(14)),
-          {"x": x_at, "wq": wq, "wk": wk, "wv": wv, "wo": wo, "lam": lam}, tol=MODEL_TOL)
+    check("mhda", lambda: _weighted_sum(mhda(x_at, g_at, b_at, attn), np.random.default_rng(14)),
+          {"x": x_at, "ln.g": g_at, "ln.b": b_at, "wq": wq, "wk": wk, "wv": wv, "wo": wo,
+           "lam": lam}, tol=MODEL_TOL)
 
     blk = BlockParams(
-        Tensor(np.ones(d_model), requires_grad=True), Tensor(np.zeros(d_model), requires_grad=True),
-        attn,
+        g_at, b_at, attn,
         Tensor(np.ones(d_model), requires_grad=True), Tensor(np.zeros(d_model), requires_grad=True),
         Tensor(rng.standard_normal((d_model, 2 * d_model)) * 0.3, requires_grad=True),
         Tensor(rng.standard_normal((d_model, 2 * d_model)) * 0.3, requires_grad=True),
         Tensor(rng.standard_normal((2 * d_model, d_model)) * 0.3, requires_grad=True),
     )
     check("block", lambda: _weighted_sum(denoise_block(x_at, blk), np.random.default_rng(15)),
-          {"x": x_at, "ln1.g": blk.ln1_g, "ffn.w1": blk.ffn_w1, "ffn.w3": blk.ffn_w3},
-          tol=MODEL_TOL)
+          {"x": x_at, "ln1.g": blk.ln1_g, "ln1.b": blk.ln1_b, "wq": wq, "wk": wk, "wv": wv,
+           "wo": wo, "lam": lam, "ln2.g": blk.ln2_g, "ln2.b": blk.ln2_b, "ffn.w1": blk.ffn_w1,
+           "ffn.w2": blk.ffn_w2, "ffn.w3": blk.ffn_w3}, tol=MODEL_TOL)
 
     # the instance-adaptive frequency filter end to end; weight scales keep
     # every rectifier preactivation (offset 0.5) out of reach of the probes

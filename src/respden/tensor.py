@@ -233,20 +233,6 @@ def neg(a: Tensor) -> Tensor:
     return Tensor._from_op(-a.data, (a,), backward, "neg")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    out[~pos] = ez / (1.0 + ez)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._from_op(out, (a,), backward, "sigmoid")
-
-
 def soft_shrink(a: Tensor, alpha: float) -> Tensor:
     """sign(x) * max(|x| - alpha, 0); dead-zone subgradient is 0 at |x| = alpha."""
     if alpha < 0:
@@ -352,37 +338,39 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "log_softmax")
 
 
+def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: (output, xhat, 1/std), the last two for `_ln_backward`."""
+    width = x.shape[-1]
+    if gamma.shape != (width,) or beta.shape != (width,):
+        raise ShapeError(
+            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {width}"
+        )
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _ln_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
+                 inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pullbacks (dx, dgamma, dbeta) of `_ln_forward` for the output gradient `g`."""
+    gg = g * gamma
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(g.ndim - 1))
+    return inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be > 0, got {eps}")
     gamma, beta = _wrap(gamma), _wrap(beta)
-    width = x.data.shape[-1]
-    if gamma.data.shape != (width,) or beta.data.shape != (width,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {width}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    out, xhat, inv = _ln_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gg - m1 - xhat * m2)
-        axes = tuple(range(x.data.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        return dx, dgamma, dbeta
+        return _ln_backward(g, gamma.data, xhat, inv)
 
     return Tensor._from_op(out, (x, gamma, beta), backward, "layer_norm")
-
-
-def swish_glu(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
-    """(swish(x @ w1) * (x @ w2)) @ w3 with swish(z) = z * sigmoid(z)."""
-    a = matmul(x, w1)
-    gate = mul(a, sigmoid(a))
-    return matmul(mul(gate, matmul(x, w2)), w3)

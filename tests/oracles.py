@@ -1,7 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, direct sums,
-scripted recurrences) and never calls the library paths it checks.
+scripted recurrences) and never calls the library paths it checks. The
+one exception is the unfused denoise block: it is the 11-node tape chain
+that the two fused sublayer nodes replaced, built from the library's
+unfused primitives, so that the fused forward can be required to be
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ import cmath
 import math
 
 import numpy as np
+
+from respden.tensor import Tensor, _check_finite, add, layer_norm, matmul, mul
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,6 +145,85 @@ def mhda_direct(x: np.ndarray, wq, wk, wv, wo, lam, heads: int) -> np.ndarray:
         m2 = softmax_rows(q2 @ k2.T / math.sqrt(d))
         outs.append((m1 - lam[i] * m2) @ vi)
     return np.concatenate(outs, axis=1) @ wo
+
+
+def sigmoid_node(a: Tensor) -> Tensor:
+    """Logistic sigmoid as its own tape node, two-branch for stability in both tails."""
+    out = np.empty_like(a.data)
+    pos = a.data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
+    ez = np.exp(a.data[~pos])
+    out[~pos] = ez / (1.0 + ez)
+
+    def backward(g):
+        return (g * out * (1.0 - out),)
+
+    return Tensor._from_op(out, (a,), backward, "sigmoid")
+
+
+def attention_node(x: Tensor, params) -> Tensor:
+    """Differential attention alone (no layer norm, no residual) as one tape node."""
+    wq, wk, wv, wo, lam = params.wq, params.wk, params.wv, params.wo, params.lam
+    n, h, d, dv = x.shape[0], params.heads, params.d_qk, params.d_v
+    scale = 1.0 / math.sqrt(d)
+    q = x.data @ wq.data
+    k = x.data @ wk.data
+    v = x.data @ wv.data
+    _check_finite(q, "mhda query projection")
+    _check_finite(k, "mhda key projection")
+    _check_finite(v, "mhda value projection")
+    qh = q.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
+    kh = k.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
+    vh = v.reshape(n, h, dv).transpose(1, 0, 2)
+    s = scale * (qh @ kh.swapaxes(-1, -2))
+    _check_finite(s, "mhda attention scores")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    m = e / e.sum(axis=-1, keepdims=True)
+    lam_h = lam.data.reshape(-1, 1, 1)
+    a = m[:, 0] - lam_h * m[:, 1]
+    merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
+    out = merged @ wo.data
+
+    def backward(g):
+        d_merged = g @ wo.data.T
+        d_wo = merged.T @ g
+        d_o = d_merged.reshape(n, h, dv).transpose(1, 0, 2)
+        d_vh = a.swapaxes(-1, -2) @ d_o
+        d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
+        dot = (d_a * m).sum(axis=-1, keepdims=True)
+        d_lam = -dot[:, 1].sum(axis=(1, 2))
+        if lam.shape == (1,):
+            d_lam = d_lam.sum(keepdims=True)
+        d_s = m * (d_a - dot)
+        d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
+        d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
+        d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
+        d_v = d_vh.transpose(1, 0, 2).reshape(n, h * dv)
+        d_x = d_q @ wq.data.T + d_k @ wk.data.T + d_v @ wv.data.T
+        return (d_x, x.data.T @ d_q, x.data.T @ d_k, x.data.T @ d_v, d_wo, d_lam)
+
+    return Tensor._from_op(out, (x, wq, wk, wv, wo, lam), backward, "mhda")
+
+
+def attention_sublayer_chain(x: Tensor, ln_g: Tensor, ln_b: Tensor, params) -> Tensor:
+    """x + attention(LN(x)) as three tape nodes: layer_norm, mhda, add."""
+    return add(x, attention_node(layer_norm(x, ln_g, ln_b), params))
+
+
+def ffn_sublayer_chain(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor,
+                       w3: Tensor) -> Tensor:
+    """y + (swish(n @ w1) * (n @ w2)) @ w3, n = LN(y), as eight tape nodes."""
+    n = layer_norm(y, ln_g, ln_b)
+    a = matmul(n, w1)
+    gate = mul(a, sigmoid_node(a))
+    return add(y, matmul(mul(gate, matmul(n, w2)), w3))
+
+
+def denoise_block_chain(x: Tensor, params) -> Tensor:
+    """The pre-norm block as the 11-node chain of unfused tape ops."""
+    y = attention_sublayer_chain(x, params.ln1_g, params.ln1_b, params.attn)
+    return ffn_sublayer_chain(y, params.ln2_g, params.ln2_b, params.ffn_w1, params.ffn_w2,
+                              params.ffn_w3)
 
 
 def adam_scripted(grad_fn, w0: float, lr: float, steps: int,

@@ -1,5 +1,7 @@
 """Differential attention, blocks, patch embedding, backbone contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,17 @@ from respden.attention import (
     mhda,
     mhda_with_maps,
     patch_embed,
+    swish_glu,
 )
+from respden.config import RunConfig, validate_config
 from respden.errors import NumericError, ShapeError
 from respden.gradcheck import check_loss_gradients
+from respden.model import Model, seed_stream
 from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum
 
-from oracles import mhda_direct, softmax_rows
+from oracles import (
+    attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct, softmax_rows,
+)
 
 
 def make_attn(rng, d, heads, lam_value=0.8, requires_grad=False):
@@ -29,6 +36,20 @@ def make_attn(rng, d, heads, lam_value=0.8, requires_grad=False):
 
     return MhdaParams(t((d, d)), t((d, d)), t((d, d)), t((d, d)),
                       Tensor(np.full(heads, lam_value), requires_grad=requires_grad), heads)
+
+
+def identity_ln(d):
+    return Tensor(np.ones(d)), Tensor(np.zeros(d))
+
+
+def normed(x):
+    """The tokens the attention sublayer attends over: LN(x) with the identity affine."""
+    return layer_norm(Tensor(x), *identity_ln(x.shape[1])).data
+
+
+def attention_of(x, params):
+    """The attention term of the sublayer: its output minus the residual."""
+    return mhda(Tensor(x), *identity_ln(x.shape[1]), params).data - x
 
 
 def standard_attention(x, wq, wk, wv, wo, heads):
@@ -52,8 +73,8 @@ class TestMhda:
         d, heads = 8, 2
         params = make_attn(rng, d, heads, lam_value=0.0)
         x = rng.standard_normal((5, d))
-        got = mhda(Tensor(x), params).data
-        want = standard_attention(x, params.wq.data, params.wk.data, params.wv.data,
+        got = attention_of(x, params)
+        want = standard_attention(normed(x), params.wq.data, params.wk.data, params.wv.data,
                                   params.wo.data, heads)
         assert np.abs(got - want).max() < 1e-12
 
@@ -71,16 +92,16 @@ class TestMhda:
         params = MhdaParams(Tensor(base_q), Tensor(base_k),
                             Tensor(rng.standard_normal((d, d))), Tensor(np.eye(d)),
                             Tensor(np.ones(heads)), heads)
-        out = mhda(Tensor(rng.standard_normal((4, d))), params).data
-        np.testing.assert_array_equal(out, np.zeros((4, d)))
+        x = rng.standard_normal((4, d))
+        np.testing.assert_array_equal(mhda(Tensor(x), *identity_ln(d), params).data, x)
 
     def test_single_token_output_is_one_minus_lambda_times_v(self):
         rng = np.random.default_rng(2)
         d, heads, lam = 8, 2, 0.37
         params = make_attn(rng, d, heads, lam_value=lam)
         x = rng.standard_normal((1, d))
-        got = mhda(Tensor(x), params).data
-        v = x @ params.wv.data
+        got = attention_of(x, params)
+        v = normed(x) @ params.wv.data
         np.testing.assert_allclose(got, (1.0 - lam) * v @ params.wo.data, atol=1e-12)
 
     def test_matches_scripted_equation_oracle(self):
@@ -93,8 +114,8 @@ class TestMhda:
             Tensor(lam), heads,
         )
         x = rng.standard_normal((3, d))
-        got = mhda(Tensor(x), params).data
-        want = mhda_direct(x, params.wq.data, params.wk.data, params.wv.data,
+        got = attention_of(x, params)
+        want = mhda_direct(normed(x), params.wq.data, params.wk.data, params.wv.data,
                            params.wo.data, lam, heads)
         assert np.abs(got - want).max() < 1e-10
 
@@ -102,7 +123,7 @@ class TestMhda:
         rng = np.random.default_rng(4)
         d, heads, lam = 8, 2, 0.8
         params = make_attn(rng, d, heads, lam_value=lam)
-        _, maps = mhda_with_maps(Tensor(rng.standard_normal((6, d))), params)
+        _, maps = mhda_with_maps(Tensor(rng.standard_normal((6, d))), *identity_ln(d), params)
         for m1, m2 in maps:
             np.testing.assert_allclose(m1.data.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(m2.data.sum(axis=1), 1.0, atol=1e-12)
@@ -115,7 +136,7 @@ class TestMhda:
         params = MhdaParams(Tensor(rng.standard_normal((d, d))), Tensor(rng.standard_normal((d, d))),
                             Tensor(rng.standard_normal((d, d))), Tensor(rng.standard_normal((d, d))),
                             Tensor(np.array([0.5])), heads)
-        assert mhda(Tensor(rng.standard_normal((3, d))), params).shape == (3, d)
+        assert mhda(Tensor(rng.standard_normal((3, d))), *identity_ln(d), params).shape == (3, d)
 
     @pytest.mark.parametrize("lam_entries", [1, 3], ids=["shared", "per_head"])
     def test_gradients_of_every_input(self, lam_entries):
@@ -126,13 +147,15 @@ class TestMhda:
             return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
         x = t(n, d, scale=1.0)
+        ln_g = Tensor(1.0 + rng.standard_normal(d) * 0.3, requires_grad=True)
+        ln_b = t(d, scale=0.3)
         params = MhdaParams(t(d, d), t(d, d), t(d, d), t(d, d),
                             Tensor(rng.uniform(0.2, 0.9, lam_entries), requires_grad=True), heads)
         w = Tensor(rng.standard_normal((n, d)))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(w, mhda(x, params))),
-            {"x": x, "wq": params.wq, "wk": params.wk, "wv": params.wv, "wo": params.wo,
-             "lam": params.lam},
+            lambda: total_sum(mul(w, mhda(x, ln_g, ln_b, params))),
+            {"x": x, "ln.g": ln_g, "ln.b": ln_b, "wq": params.wq, "wk": params.wk,
+             "wv": params.wv, "wo": params.wo, "lam": params.lam},
         )
         assert params.lam.grad.shape == (lam_entries,)
         for row in rows:
@@ -144,8 +167,8 @@ class TestMhda:
         params = MhdaParams(*(Tensor(rng.standard_normal((d, d)) * 0.1) for _ in range(4)),
                             Tensor(np.array([0.6])), heads)
         x = rng.standard_normal((N_TOKENS, d))
-        got = mhda(Tensor(x), params).data
-        want = mhda_direct(x, params.wq.data, params.wk.data, params.wv.data,
+        got = attention_of(x, params)
+        want = mhda_direct(normed(x), params.wq.data, params.wk.data, params.wv.data,
                            params.wo.data, np.full(heads, 0.6), heads)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -155,7 +178,7 @@ class TestMhda:
         params = make_attn(rng, 8, 2)
         getattr(params, which).data[...] = 1e308
         with pytest.raises(NumericError):
-            mhda(Tensor(rng.standard_normal((4, 8))), params)
+            mhda(Tensor(rng.standard_normal((4, 8))), *identity_ln(8), params)
 
     def test_width_validation(self):
         rng = np.random.default_rng(6)
@@ -211,6 +234,170 @@ class TestBlock:
              "ffn.w1": params.ffn_w1, "ffn.w3": params.ffn_w3},
         )
         assert max(r.max_rel_err for r in rows) < 1e-3
+
+
+class TestSwishGlu:
+    def test_zero_input(self):
+        rng = np.random.default_rng(5)
+        out = swish_glu(Tensor(np.zeros((2, 3))), *identity_ln(3),
+                        Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4))),
+                        Tensor(rng.standard_normal((4, 3))))
+        np.testing.assert_array_equal(out.data, 0.0)
+
+    def test_scalar_chain(self):
+        # a one-wide row normalizes to 0, so n = beta = 1 and a = n @ w1 = 1
+        one = Tensor([[1.0]])
+        out = swish_glu(one, Tensor([1.0]), Tensor([1.0]), one, one, one)
+        np.testing.assert_allclose(out.data, [[1.0 + 1.0 / (1.0 + np.exp(-1.0))]], atol=1e-12)
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        ln_g = Tensor(1.0 + 0.3 * rng.standard_normal(4), requires_grad=True)
+        ln_b = Tensor(0.3 * rng.standard_normal(4), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w3 = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 4)))
+        rows = check_loss_gradients(
+            lambda: total_sum(mul(w, swish_glu(x, ln_g, ln_b, w1, w2, w3))),
+            {"x": x, "ln.g": ln_g, "ln.b": ln_b, "w1": w1, "w2": w2, "w3": w3},
+        )
+        assert max(r.max_rel_err for r in rows) < 1e-4
+
+
+def random_block(rng, d, heads, lam=None, lam_grad=True):
+    """Block parameters at a generic point; every tensor a gradient leaf unless frozen."""
+    def t(*shape, scale=0.5, shift=0.0):
+        return Tensor(shift + rng.standard_normal(shape) * scale, requires_grad=True)
+
+    lam = rng.uniform(0.2, 0.9, heads) if lam is None else lam
+    return BlockParams(
+        t(d, scale=0.3, shift=1.0), t(d, scale=0.3),
+        MhdaParams(t(d, d), t(d, d), t(d, d), t(d, d), Tensor(lam, requires_grad=lam_grad), heads),
+        t(d, scale=0.3, shift=1.0), t(d, scale=0.3),
+        t(d, 2 * d), t(d, 2 * d), t(2 * d, d),
+    )
+
+
+def attention_leaves(params):
+    a = params.attn
+    return {"ln1.g": params.ln1_g, "ln1.b": params.ln1_b, "wq": a.wq, "wk": a.wk, "wv": a.wv,
+            "wo": a.wo, "lam": a.lam}
+
+
+def ffn_leaves(params):
+    return {"ln2.g": params.ln2_g, "ln2.b": params.ln2_b, "ffn.w1": params.ffn_w1,
+            "ffn.w2": params.ffn_w2, "ffn.w3": params.ffn_w3}
+
+
+def forward_and_grads(build, leaves, w):
+    """The output of `build()` and the gradients of sum(w * output) at every leaf."""
+    for p in leaves.values():
+        p.zero_grad()
+    out = build()
+    total_sum(mul(w, out)).backward()
+    return out.data, {k: None if p.grad is None else p.grad.copy() for k, p in leaves.items()}
+
+
+class TestFusedSublayersMatchChain:
+    """The two fused nodes against the unfused chain: equal forward, gradients to 1e-12."""
+
+    CASES = ["per_head", "shared", "frozen", "constant_row"]
+
+    @staticmethod
+    def setup_case(case, d=12, heads=3, n=5):
+        rng = np.random.default_rng(TestFusedSublayersMatchChain.CASES.index(case) + 40)
+        if case == "shared":
+            params = random_block(rng, d, heads, lam=np.array([0.6]))
+        elif case == "frozen":
+            # the no_ddl ablation: lambda fixed at zero and excluded from training
+            params = random_block(rng, d, heads, lam=np.zeros(heads), lam_grad=False)
+        else:
+            params = random_block(rng, d, heads)
+        x = rng.standard_normal((n, d))
+        if case == "constant_row":
+            x[2] = 0.7  # zero variance: LN output is beta, 1/std is 1/sqrt(eps)
+        x = Tensor(x, requires_grad=True)
+        return x, params, Tensor(rng.standard_normal((n, d)))
+
+    def assert_match(self, fused, chain, leaves, w):
+        got, got_grads = forward_and_grads(fused, leaves, w)
+        want, want_grads = forward_and_grads(chain, leaves, w)
+        np.testing.assert_array_equal(got, want)
+        for name in leaves:
+            if want_grads[name] is None:
+                assert got_grads[name] is None, name
+                continue
+            err = np.linalg.norm(got_grads[name] - want_grads[name]) / np.linalg.norm(want_grads[name])
+            assert err <= 1e-12, (name, err)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_attention_sublayer(self, case):
+        x, p, w = self.setup_case(case)
+        leaves = {"x": x, **attention_leaves(p)}
+        self.assert_match(lambda: mhda(x, p.ln1_g, p.ln1_b, p.attn),
+                          lambda: attention_sublayer_chain(x, p.ln1_g, p.ln1_b, p.attn), leaves, w)
+
+    @pytest.mark.parametrize("case", ["per_head", "constant_row"])
+    def test_ffn_sublayer(self, case):
+        x, p, w = self.setup_case(case)
+        args = (p.ln2_g, p.ln2_b, p.ffn_w1, p.ffn_w2, p.ffn_w3)
+        self.assert_match(lambda: swish_glu(x, *args), lambda: ffn_sublayer_chain(x, *args),
+                          {"x": x, **ffn_leaves(p)}, w)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_denoise_block(self, case):
+        x, p, w = self.setup_case(case)
+        leaves = {"x": x, **attention_leaves(p), **ffn_leaves(p)}
+        self.assert_match(lambda: denoise_block(x, p), lambda: denoise_block_chain(x, p), leaves, w)
+        if case == "frozen":
+            assert p.attn.lam.grad is None
+
+    def test_sigmoid_tails_match_chain(self):
+        # y = 0 and gamma = 0 make n the ones row (beta = 1); w1 row 0 then puts
+        # each tail value exactly into one gate preactivation, w2 makes
+        # n @ w2 = 1 and w3 = I copies a * sigmoid(a) to the output unchanged
+        tails = np.array([0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e-300, -1e-300, 36.0, -36.0])
+        d = tails.size
+        w1, w2 = np.zeros((d, d)), np.zeros((d, d))
+        w1[0], w2[0] = tails, 1.0
+        y = Tensor(np.zeros((2, d)), requires_grad=True)
+        args = (Tensor(np.zeros(d)), Tensor(np.ones(d)), Tensor(w1, requires_grad=True),
+                Tensor(w2, requires_grad=True), Tensor(np.eye(d), requires_grad=True))
+        self.assert_match(lambda: swish_glu(y, *args), lambda: ffn_sublayer_chain(y, *args),
+                          {"x": y, "w1": args[2], "w2": args[3], "w3": args[4]},
+                          Tensor(np.random.default_rng(52).standard_normal((2, d))))
+        assert swish_glu(y, *args).data[0, 5] < 0  # -745 * e^-745, not 0
+
+
+@pytest.fixture
+def node_counts(monkeypatch):
+    """Tape nodes made, by label, from here to the end of the test."""
+    counts = Counter()
+    made = Tensor._from_op
+
+    def counting(data, parents, backward_fn, what):
+        counts[what] += 1
+        return made(data, parents, backward_fn, what)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
+    return counts
+
+
+class TestTapeBudget:
+    def test_block_is_two_nodes(self, node_counts):
+        rng = np.random.default_rng(60)
+        denoise_block(Tensor(rng.standard_normal((4, 8)), requires_grad=True),
+                      random_block(rng, 8, 2))
+        assert node_counts == {"mhda": 1, "swish_glu": 1}
+
+    def test_default_model_predict_is_25_nodes(self, node_counts):
+        cfg = validate_config(RunConfig())
+        model = Model(cfg, rng=seed_stream(0, "init"))
+        model.predict(np.random.default_rng(61).standard_normal((249, 64)))
+        assert sum(node_counts.values()) == 25, dict(node_counts)
+        assert node_counts["mhda"] == node_counts["swish_glu"] == cfg.layers
 
 
 def make_backbone(rng, d, heads, layers, std=0.05):

@@ -1,9 +1,12 @@
 """Checkpoint container: bitwise roundtrips and distinct corruption errors."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import respden.checkpoint as checkpoint_module
 from respden.checkpoint import (
     Checkpoint,
     adam_from_checkpoint,
@@ -73,6 +76,26 @@ class TestRoundtrip:
         save_checkpoint(checkpoint_from_model(model, epoch=0), str(path))
         ckpt = load_checkpoint(str(path))
         assert ckpt.adam_step is None and adam_from_checkpoint(ckpt) is None
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_file(self, saved, monkeypatch):
+        model, _, path = saved
+        before = open(path, "rb").read()
+        write_block = checkpoint_module._write_block
+        written = []
+
+        def failing_write_block(fh, name, arr):
+            if len(written) == 3:  # fail part-way, after three blocks are on disk
+                raise OSError("disk full")
+            written.append(name)
+            write_block(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint_module, "_write_block", failing_write_block)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(checkpoint_from_model(model, epoch=9), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
 class TestCorruption:

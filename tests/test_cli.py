@@ -120,6 +120,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_truncated_wav_in_dataset_is_3(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        wav = sorted(ds.glob("*.wav"))[0]
+        wav.write_bytes(wav.read_bytes()[:-100])
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 3
+        assert err.startswith("error:") and wav.name in err
+
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs = 9\nbatch = 2\n")

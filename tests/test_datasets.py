@@ -1,9 +1,11 @@
 """Dataset grammar, fixtures, synthesis determinism, persistence roundtrip."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from respden.audio import Label, TARGET_RATE
 from respden.datasets import (
@@ -231,3 +233,56 @@ class TestWavRoundtrip:
         path.write_bytes(b"not a riff file at all")
         with pytest.raises(DatasetError):
             read_wav(str(path))
+
+
+@pytest.fixture(scope="module")
+def small_wav(tmp_path_factory):
+    """A 444-byte 16-bit mono file from `write_wav`, and a path for mutants."""
+    workdir = tmp_path_factory.mktemp("wavfuzz")
+    path = workdir / "base.wav"
+    write_wav(str(path), np.sin(np.arange(200) / 5.0) * 0.5, 16000)
+    return path.read_bytes(), workdir / "mutant.wav"
+
+
+class TestWavDamage:
+    """Damaged WAVs: the reader succeeds or raises `DatasetError`, never another error."""
+
+    def test_cut_off_data_chunk_rejected(self, small_wav):
+        raw, path = small_wav
+        path.write_bytes(raw[:-10])
+        with pytest.raises(DatasetError, match="data chunk shorter"):
+            read_wav(str(path))
+
+    def test_unknown_chunk_before_data_skipped(self, small_wav):
+        raw, path = small_wav
+        extra = b"abcd" + (6).to_bytes(4, "little") + b"012345"
+        riff_size = (int.from_bytes(raw[4:8], "little") + len(extra)).to_bytes(4, "little")
+        path.write_bytes(raw[:4] + riff_size + raw[8:36] + extra + raw[36:])
+        want, _ = read_wav(str(path.parent / "base.wav"))
+        with pytest.warns(Warning, match="not understood"):
+            got, rate = read_wav(str(path))
+        assert rate == 16000
+        np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_at_any_offset(self, small_wav, data):
+        raw, path = small_wav
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(DatasetError):
+            read_wav(str(path))
+
+    # offsets are drawn from the 44-byte header as often as from the whole file
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), flip=st.integers(1, 255))
+    def test_any_byte_flipped(self, small_wav, data, flip):
+        raw, path = small_wav
+        mutant = bytearray(raw)
+        mutant[data.draw(st.one_of(st.integers(0, 43), st.integers(0, len(raw) - 1)))] ^= flip
+        path.write_bytes(bytes(mutant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns about chunks it skips
+            try:
+                read_wav(str(path))
+            except DatasetError:
+                pass

@@ -14,7 +14,6 @@ from respden.tensor import (
     no_grad,
     soft_shrink,
     softmax,
-    swish_glu,
     total_sum,
 )
 
@@ -101,32 +100,6 @@ class TestLayerNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.zeros((2, 5))), Tensor(np.ones(4)), Tensor(np.zeros(5)))
-
-
-class TestSwishGlu:
-    def test_zero_input(self):
-        rng = np.random.default_rng(5)
-        out = swish_glu(Tensor(np.zeros((2, 3))), Tensor(rng.standard_normal((3, 4))),
-                        Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 3))))
-        np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_scalar_chain(self):
-        one = Tensor([[1.0]])
-        out = swish_glu(one, one, one, one)
-        np.testing.assert_allclose(out.data, [[1.0 / (1.0 + np.exp(-1.0))]], atol=1e-12)
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        w2 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        w3 = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 4)))
-        rows = check_loss_gradients(
-            lambda: total_sum(mul(w, swish_glu(x, w1, w2, w3))),
-            {"x": x, "w1": w1, "w2": w2, "w3": w3},
-        )
-        assert max(r.max_rel_err for r in rows) < 1e-4
 
 
 class TestSoftShrink:
