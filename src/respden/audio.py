@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import firwin, resample_poly
+from scipy.sparse import csr_array
 
 from .errors import ShapeError
 
@@ -105,6 +106,13 @@ class Spectrogram:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _read_only_csr(dense: np.ndarray) -> csr_array:
+    sparse = csr_array(dense)
+    for arr in (sparse.data, sparse.indices, sparse.indptr):
+        _read_only(arr)
+    return sparse
 
 
 @functools.lru_cache(maxsize=4)
@@ -199,7 +207,10 @@ def _hann_periodic(n: int) -> np.ndarray:
 
 
 _WINDOW = _read_only(_hann_periodic(DEFAULT_SPEC_CONFIG.n_fft))
-_MEL_BANK_T = _read_only(np.ascontiguousarray(mel_filterbank(DEFAULT_SPEC_CONFIG).T))
+#: the filterbank as a read-only CSR matrix: 1001 of its 32832 entries are
+#: nonzero, and the sparse product sums each band's bins in one fixed
+#: order, so the features do not depend on the BLAS thread count
+_MEL_BANK = _read_only_csr(mel_filterbank(DEFAULT_SPEC_CONFIG))
 
 
 def mel_spectrogram(clip: AudioClip) -> Spectrogram:
@@ -215,7 +226,7 @@ def mel_spectrogram(clip: AudioClip) -> Spectrogram:
         clip.samples, shape=(N_FRAMES, cfg.n_fft), strides=(cfg.hop * stride, stride)
     )
     power = np.abs(np.fft.rfft(frames * _WINDOW, axis=1)) ** 2
-    mel = power @ _MEL_BANK_T
+    mel = np.ascontiguousarray((_MEL_BANK @ power.T).T)
     return Spectrogram(np.log(mel + cfg.log_floor), frame_rate=cfg.sample_rate / cfg.hop)
 
 

@@ -120,6 +120,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    # zero entries would pass every row without probing anything
+    if args.max_entries < 1:
+        raise UsageError(f"--max-entries must be >= 1, got {args.max_entries}")
     rows, ok = run_gradcheck(seed=args.seed if args.seed is not None else 0,
                              max_entries=args.max_entries)
     for r in rows:

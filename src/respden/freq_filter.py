@@ -1,24 +1,23 @@
-"""Adaptive frequency filter.
+"""Adaptive frequency filter on the half spectrum.
 
-The log-mel spectrogram is mapped to its modulation spectrum with a 2-D
-DFT, carried as one real (2, T, F) tensor (real part over imaginary
-part), attenuated bin-by-bin with a learnable instance-adaptive real mask
-passed through soft shrink, and mapped back. The mask network is a tiny
-pointwise MLP over each bin's (re, im) pair, so the mask depends on the
-input content and not only on bin position.
+The log-mel spectrogram x (T x F) goes to its modulation spectrum
+R = rfft2(x) over T x (F//2 + 1) bins, is scaled bin by bin by a learnable
+instance-adaptive real mask passed through soft shrink, and comes back
+with irfft2. The mask is a tiny pointwise MLP over each bin's (re, im).
 
-The MLP is one fused tape node. Its forward walks the bins in blocks of
-`MASK_BLOCK`, so each block's hidden layer stays in cache, and keeps only
-the (re, im) features; its backward recomputes each block's hidden layer
-instead of storing it. The hidden pre-activations are checked for NaN/Inf
-block by block and the finished mask once more when the node is made, so
-an overflow anywhere in the MLP raises `NumericError`.
+The conjugate partner of bin (u, v) holds (re, -im), so averaging the MLP
+over the two, m = shrink(0.5 * (MLP(re, im) + MLP(re, -im))), makes the
+mask even and the inverse real by construction.
 
-A real pointwise mask alone does not keep the masked spectrum
-conjugate-symmetric (the MLP is not even in the imaginary part), so the
-raw mask is symmetrized across conjugate bin pairs before shrinking; that
-is what guarantees a real output signal. Symmetrization is one
-self-adjoint tape node: its backward averages the cotangent the same way.
+`filter_forward` is one tape node with a hand-derived backward. The MLP
+walks its (2n, 3) feature table, rows (re, +-im, 1), in blocks of
+`MASK_BLOCK` through one preallocated hidden buffer, the 1 column carrying
+the first bias; the backward recomputes each block's hidden layer instead
+of storing it. Hidden pre-activations (per block), the mask and the output
+are checked for NaN/Inf, so an overflow anywhere raises `NumericError`.
+
+`reference_filter` is the six-node full-plane chain it replaced, kept as
+the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeError
 from .fourier import fft2, ifft2, scale_complex
 from .tensor import Tensor, _check_finite, add, soft_shrink
 
-#: bins per block of the fused mask MLP: a 1024 x hidden float64 block of
-#: the hidden layer (256 KiB at hidden width 32) fits in L2 cache
+#: rows per block of the mask MLP: a 1024 x hidden float64 block of the
+#: hidden layer (256 KiB at hidden width 32) fits in L2 cache
 MASK_BLOCK = 1024
 
 
@@ -52,54 +52,149 @@ class FilterParams:
             raise ValueError(f"shrink threshold must be >= 0, got {self.alpha}")
 
 
-def _hidden(feats: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """relu(feats @ w1 + b1) for one block, rectified in place."""
-    z = feats @ w1 + b1
-    _check_finite(z, "mask_net hidden layer")
-    return np.maximum(z, 0.0, out=z)
+def _features(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(k, 3) MLP input table with rows (re, im, 1); the 1 carries the bias b1."""
+    return np.column_stack((re.reshape(-1), im.reshape(-1), np.ones(re.size)))
+
+
+def _hidden(feats: np.ndarray, w1b: np.ndarray, buf: np.ndarray, check: bool = True) -> np.ndarray:
+    """relu(feats @ [w1; b1]) for one block, computed and rectified inside `buf`."""
+    h = np.matmul(feats, w1b, out=buf[:len(feats)])
+    if check:
+        _check_finite(h, "mask_net hidden layer")
+    return np.maximum(h, 0.0, out=h)
+
+
+def _blocks(rows: int) -> list[slice]:
+    return [slice(lo, lo + MASK_BLOCK) for lo in range(0, rows, MASK_BLOCK)]
+
+
+def _mlp(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """relu(feats @ w1b) @ w2 per row, without the output bias, block by block."""
+    raw = np.empty(len(feats))
+    buf = np.empty((MASK_BLOCK, w1b.shape[1]))
+    for blk in _blocks(len(feats)):
+        np.matmul(_hidden(feats[blk], w1b, buf), w2[:, 0], out=raw[blk])
+    return raw
+
+
+def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
+    """Cotangents (d_w1b, d_w2, d_feats or None) of `_mlp` for cotangent `d_raw`.
+
+    Recomputes each block's hidden layer with the forward's block bounds,
+    so it sees bit for bit the forward's activations (already checked
+    finite there). With live = [h > 0] (relu's subgradient, 0 at the
+    kink), the hidden cotangent is g * w2 * live; its products are taken
+    without forming it: d_w1b = w2 * (g feats)^T live and
+    d_feats = g * live (w2 * w1)^T. `d_feats` holds the (re, im) columns only.
+    """
+    hidden = w1b.shape[1]
+    buf = np.empty((MASK_BLOCK, hidden))
+    on_buf = np.empty((MASK_BLOCK, hidden))
+    d_w1b = np.zeros_like(w1b)
+    d_w2 = np.zeros(hidden)
+    d_feats = np.empty((len(feats), 2)) if want_feats else None
+    w_in = (w1b[:2] * w2[:, 0]).T
+    for blk in _blocks(len(feats)):
+        h = _hidden(feats[blk], w1b, buf, check=False)
+        g = d_raw[blk]
+        d_w2 += g @ h
+        on = on_buf[:len(g)]
+        np.copyto(on, h > 0.0)
+        d_w1b += (feats[blk] * g[:, None]).T @ on
+        if d_feats is not None:
+            d_feats[blk] = (on @ w_in) * g[:, None]
+    return d_w1b * w2[:, 0], d_w2.reshape(-1, 1), d_feats
+
+
+def _stacked(params: FilterParams) -> np.ndarray:
+    return np.vstack((params.w1.data, params.b1.data))
+
+
+def _column_weights(f: int) -> np.ndarray:
+    """How often each half-plane column appears in the full F-wide plane."""
+    c = np.full(f // 2 + 1, 2.0)
+    c[0] = 1.0
+    if f % 2 == 0:
+        c[-1] = 1.0
+    return c
+
+
+def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:
+    """irfft2(shrink(even mask) * rfft2(x)) as one tape node; plus x with `residual`.
+
+    The backward pulls the output cotangent back onto the half plane as
+    rfft2(gy) * c_v / (T F), with c_v = 1 on the self-conjugate columns
+    v = 0 and v = F/2 and 2 elsewhere, then through the mask product, the
+    shrink and the MLP. The pullback onto x, needed only when x requires
+    grad, is the adjoint of rfft2: a zero-padded full inverse DFT times T F.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"filter_forward expects a 2-D tensor, got shape {x.shape}")
+    w1b, w2 = _stacked(params), params.w2.data
+    t, f = x.shape
+    spec = np.fft.rfft2(x.data)
+    half = spec.shape
+    n = spec.size
+    feats = np.vstack((_features(spec.real, spec.imag), _features(spec.real, -spec.imag)))
+    raw = _mlp(feats, w1b, w2)
+    g = 0.5 * (raw[:n] + raw[n:]) + params.b2.data
+    _check_finite(g, "mask_net output")
+    # soft_shrink's rule, keeping where its subgradient is 1
+    g = g.reshape(half)
+    live = np.abs(g) > params.alpha
+    m = np.where(live, np.sign(g) * (np.abs(g) - params.alpha), 0.0)
+    out = np.fft.irfft2(m * spec, s=(t, f))
+    if residual:
+        out += x.data
+
+    def backward(gy):
+        d_spec = np.fft.rfft2(gy)
+        d_spec *= _column_weights(f) / (t * f)
+        d_g = (d_spec.real * spec.real + d_spec.imag * spec.imag) * live
+        d_raw = np.tile(0.5 * d_g.reshape(-1), 2)
+        d_w1b, d_w2, d_feats = _mlp_pullback(feats, w1b, w2, d_raw, x.requires_grad)
+        d_b2 = np.full(1, d_g.sum())
+        d_x = None
+        if d_feats is not None:
+            d_half = m * d_spec
+            # a partner row's features are (re, -im): its im cotangent flips sign
+            d_half.real += (d_feats[:n, 0] + d_feats[n:, 0]).reshape(half)
+            d_half.imag += (d_feats[:n, 1] - d_feats[n:, 1]).reshape(half)
+            padded = np.zeros((t, f), dtype=complex)
+            padded[:, :half[1]] = d_half
+            d_x = np.fft.ifft2(padded).real * (t * f)
+            if residual:
+                d_x += gy
+        return d_x, d_w1b[:2], d_w1b[2], d_w2, d_b2
+
+    return Tensor._from_op(out, (x, params.w1, params.b1, params.w2, params.b2), backward,
+                           "filter_forward")
+
+
+# -- the full-plane reference chain ------------------------------------------------
 
 
 def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
     """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
 
-    relu(feats @ w1 + b1) @ w2 + b2 as a single tape node, evaluated in
-    blocks of `MASK_BLOCK` bins. The backward keeps only the (N, 2)
-    features and recomputes each block's hidden layer with the same block
-    bounds, so it sees bit for bit the activations of the forward. Relu's
-    subgradient at 0 is 0. Hidden pre-activations are checked per block,
-    the output when the node is made; either raises `NumericError`.
+    relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
+    the full plane, through the same blocked MLP as `filter_forward`.
     """
-    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    w1b, w2 = _stacked(params), params.w2.data
     _, t, f = spectrum.shape
-    n = t * f
-    feats = np.ascontiguousarray(spectrum.data.reshape(2, n).T)
-    blocks = [slice(lo, lo + MASK_BLOCK) for lo in range(0, n, MASK_BLOCK)]
-    out = np.empty((n, 1))
-    for blk in blocks:
-        out[blk] = _hidden(feats[blk], w1.data, b1.data) @ w2.data
-    out += b2.data
+    feats = _features(spectrum.data[0], spectrum.data[1])
+    out = _mlp(feats, w1b, w2) + params.b2.data
 
     def backward(g):
-        g = g.reshape(n, 1)
+        g = g.reshape(-1)
+        d_w1b, d_w2, d_feats = _mlp_pullback(feats, w1b, w2, g, spectrum.requires_grad)
         # a data spectrum needs no pullback; the tape skips a None
-        d_feats = np.empty((n, 2)) if spectrum.requires_grad else None
-        d_w1 = np.zeros_like(w1.data)
-        d_b1 = np.zeros_like(b1.data)
-        d_w2 = np.zeros_like(w2.data)
-        for blk in blocks:
-            h = _hidden(feats[blk], w1.data, b1.data)
-            d_w2 += h.T @ g[blk]
-            d_z = g[blk] * w2.data[:, 0]
-            d_z *= h > 0.0
-            d_b1 += d_z.sum(axis=0)
-            d_w1 += feats[blk].T @ d_z
-            if d_feats is not None:
-                d_feats[blk] = d_z @ w1.data.T
-        d_b2 = g.sum(axis=0)
         d_spectrum = None if d_feats is None else d_feats.T.reshape(2, t, f)
-        return d_spectrum, d_w1, d_b1, d_w2, d_b2
+        return d_spectrum, d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
 
-    return Tensor._from_op(out.reshape(t, f), (spectrum, w1, b1, w2, b2), backward, "mask_net")
+    return Tensor._from_op(out.reshape(t, f), (spectrum, params.w1, params.b1, params.w2, params.b2),
+                           backward, "mask_net")
 
 
 def _negation_perm(n: int) -> np.ndarray:
@@ -120,12 +215,11 @@ def symmetrize(m: Tensor) -> Tensor:
     return Tensor._from_op(average(m.data), (m,), lambda g: (average(g),), "symmetrize")
 
 
-def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:
-    """fft2 -> instance mask -> soft shrink -> multiply -> ifft2.
+def reference_filter(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:
+    """The full-plane chain fft2 -> mask_net -> symmetrize -> soft_shrink -> ifft2.
 
-    Fully differentiable; the returned signal is real because the shrunk
-    mask is even-symmetric. With `residual` the filtered signal is added
-    to the input instead of replacing it.
+    Six tape nodes (seven with `residual`) computing what `filter_forward`
+    computes in one; the tests compare the two.
     """
     spectrum = fft2(x)
     mask = soft_shrink(symmetrize(mask_net(spectrum, params)), params.alpha)

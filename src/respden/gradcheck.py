@@ -214,6 +214,11 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     fp = FilterParams(fw1, fb1, fw2, fb2, alpha=0.02)
     check("freq_filter", lambda: _weighted_sum(filter_forward(x_af, fp), np.random.default_rng(16)),
           {"x": x_af, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, tol=MODEL_TOL)
+    # odd F: the half plane has no self-conjugate v = F/2 column
+    x_odd = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+    check("freq_filter.odd_f",
+          lambda: _weighted_sum(filter_forward(x_odd, fp), np.random.default_rng(17)),
+          {"x": x_odd, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, tol=MODEL_TOL)
 
     # losses
     logits = Tensor(rng.standard_normal(4), requires_grad=True)

@@ -277,7 +277,8 @@ def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_ff
                              hop: int = 512, n_mels: int = 64, fmin: float = 0.0,
                              fmax: float = 8000.0, log_floor: float = 1e-6) -> np.ndarray:
     """Log-mel energies with the periodic Hann window and the triangular
-    filterbank rebuilt, one band at a time, on every call."""
+    filterbank rebuilt, one band at a time, on every call, and each band's
+    energy summed bin by bin."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -297,4 +298,10 @@ def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_ff
     n_frames = 1 + (samples.size - n_fft) // hop
     frames = np.stack([samples[i * hop:i * hop + n_fft] for i in range(n_frames)])
     power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-    return np.log(power @ bank.T + log_floor)
+    # each band sums its nonzero bins one at a time in ascending order: the
+    # order the library's sparse product fixes at any BLAS thread count
+    mel = np.zeros((n_frames, n_mels))
+    for i in range(n_mels):
+        for j in np.flatnonzero(bank[i]):
+            mel[:, i] = mel[:, i] + bank[i, j] * power[:, j]
+    return np.log(mel + log_floor)

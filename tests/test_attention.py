@@ -21,6 +21,7 @@ from respden.attention import (
 )
 from respden.config import RunConfig, validate_config
 from respden.errors import NumericError, ShapeError
+from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model, seed_stream
 from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum
@@ -392,11 +393,20 @@ class TestTapeBudget:
                       random_block(rng, 8, 2))
         assert node_counts == {"mhda": 1, "swish_glu": 1}
 
-    def test_default_model_predict_is_25_nodes(self, node_counts):
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_filter_is_one_node(self, node_counts, residual):
+        rng = np.random.default_rng(62)
+        params = FilterParams(*(Tensor(rng.standard_normal(shape), requires_grad=True)
+                                for shape in ((2, 4), (4,), (4, 1), (1,))))
+        filter_forward(Tensor(rng.standard_normal((6, 8)), requires_grad=True), params, residual)
+        assert node_counts == {"filter_forward": 1}
+
+    def test_default_model_predict_is_20_nodes(self, node_counts):
         cfg = validate_config(RunConfig())
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.predict(np.random.default_rng(61).standard_normal((249, 64)))
-        assert sum(node_counts.values()) == 25, dict(node_counts)
+        assert sum(node_counts.values()) == 20, dict(node_counts)
+        assert node_counts["filter_forward"] == 1
         assert node_counts["mhda"] == node_counts["swish_glu"] == cfg.layers
 
 

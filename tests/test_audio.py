@@ -15,6 +15,7 @@ from respden.audio import (
     band_centers_hz,
     fix_length,
     hz_to_mel,
+    mel_filterbank,
     mel_spectrogram,
     mel_to_hz,
     normalize_amplitude,
@@ -173,10 +174,18 @@ class TestMelSpectrogram:
         np.testing.assert_array_equal(mel_spectrogram(make_clip(x)).values,
                                       mel_spectrogram_per_call(x))
 
-    @pytest.mark.parametrize("name", ["_WINDOW", "_MEL_BANK_T"])
+    @pytest.mark.parametrize("name", ["_WINDOW"])
     def test_analysis_constants_are_read_only(self, name):
         with pytest.raises(ValueError):
             getattr(audio, name)[0] = 1.0
+
+    @pytest.mark.parametrize("part", ["data", "indices", "indptr"])
+    def test_sparse_mel_bank_is_read_only(self, part):
+        with pytest.raises(ValueError):
+            getattr(audio._MEL_BANK, part)[0] = 1
+
+    def test_sparse_mel_bank_equals_dense_design(self):
+        np.testing.assert_array_equal(audio._MEL_BANK.toarray(), mel_filterbank())
 
     def test_default_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

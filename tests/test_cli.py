@@ -151,6 +151,13 @@ class TestGradcheckCommand:
         for group in ("aff", "lam", "wq", "phi"):
             assert group in out
 
+    @pytest.mark.parametrize("entries", ["0", "-1"])
+    def test_max_entries_below_one_is_usage_error(self, entries, capsys):
+        code, out, err = run(["gradcheck", "--max-entries", entries], capsys)
+        assert code == 2
+        assert "--max-entries" in err
+        assert "passed" not in out
+
     def test_corrupt_hook_fails_with_exit_1(self, capsys, corrupt_model_row):
         corrupt_model_row("block0.wq")
         code, out, _ = run(["gradcheck", "--seed", "0", "--max-entries", "2"], capsys)

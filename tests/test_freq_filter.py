@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from respden.errors import NumericError
+from respden.errors import NumericError, ShapeError
 from respden.fourier import fft2
 from respden.freq_filter import (
-    MASK_BLOCK, FilterParams, filter_forward, mask_net, symmetrize,
+    MASK_BLOCK, FilterParams, filter_forward, mask_net, reference_filter, symmetrize,
 )
 from respden.gradcheck import check_loss_gradients
 from respden.tensor import Tensor, mul, soft_shrink, total_sum
@@ -173,12 +173,15 @@ class TestFilterForward:
         assert np.abs(got - want).max() < 1e-8
 
     def test_real_output_residue_below_tolerance(self):
-        # would raise NumericError inside ifft2 if the masked spectrum
-        # were not Hermitian; also check against the unsymmetrized path
+        # the reference chain's ifft2 raises NumericError if the masked
+        # full-plane spectrum is not Hermitian; the fused node's irfft2 is
+        # real by construction and must give the same signal
         rng = np.random.default_rng(7)
         x = rng.standard_normal((9, 5)) * 10
-        out = filter_forward(Tensor(x), random_params(rng, scale=0.4))
-        assert np.isfinite(out.data).all()
+        params = random_params(rng, scale=0.4)
+        want = reference_filter(Tensor(x), params).data
+        got = filter_forward(Tensor(x), params).data
+        assert normwise_rel_err(got, want) <= 1e-12
 
     def test_frozen_mask_linearity(self):
         rng = np.random.default_rng(8)
@@ -240,3 +243,117 @@ class TestFilterForward:
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError):
             random_params(rng, alpha=-0.1)
+
+
+def outputs_and_gradients(fn, x, params, weights, residual):
+    """fn's output and the gradients of sum(weights * output) w.r.t. x, w1, b1, w2, b2."""
+    xt = Tensor(x, requires_grad=True)
+    leaves = [Tensor(p.data.copy(), requires_grad=True)
+              for p in (params.w1, params.b1, params.w2, params.b2)]
+    out = fn(xt, FilterParams(*leaves, alpha=params.alpha), residual)
+    total_sum(mul(Tensor(weights), out)).backward()
+    return [out.data, xt.grad] + [p.grad for p in leaves]
+
+
+NAMES = ("out", "x", "w1", "b1", "w2", "b2")
+
+
+class TestFusedMatchesReference:
+    """The one-node half-spectrum filter against the six-node full-plane chain."""
+
+    def generic_params(self, rng, x, hidden=6):
+        """Random MLP weights; alpha halfway between the two middle |mask| values.
+
+        The shrink then passes about half the bins and zeroes the rest, and
+        no bin sits on its kink.
+        """
+        params = FilterParams(
+            Tensor(rng.standard_normal((2, hidden)) * 0.3),
+            Tensor(rng.standard_normal(hidden) * 0.3),
+            Tensor(rng.standard_normal((hidden, 1)) * 0.3),
+            Tensor(np.full(1, 0.3)),
+        )
+        mags = np.unique(np.abs(symmetrize(mask_net(fft2(Tensor(x)), params)).data))
+        params.alpha = float(0.5 * (mags[len(mags) // 2 - 1] + mags[len(mags) // 2]))
+        return params
+
+    def assert_match(self, x, params, weights, residual):
+        got = outputs_and_gradients(filter_forward, x, params, weights, residual)
+        want = outputs_and_gradients(reference_filter, x, params, weights, residual)
+        for name, g, w in zip(NAMES, got, want):
+            # an all-zero reference gradient must be matched exactly
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("shape", [(249, 64), (249, 63), (6, 8), (9, 5), (5, 6), (7, 7)])
+    def test_output_and_five_gradients(self, shape, residual):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        self.assert_match(x, self.generic_params(rng, x), rng.standard_normal(shape), residual)
+
+    @pytest.mark.parametrize("shape", [(8, 6), (9, 6), (9, 7)])
+    def test_self_conjugate_lines_alone(self, shape):
+        # input and cotangent live only on the lines that conjugation maps
+        # onto themselves: row u = 0, column v = 0 and, for even F, column
+        # v = F/2; on those columns the half plane holds both partners
+        t, f = shape
+        rng = np.random.default_rng(t * f)
+        support = np.zeros(shape, dtype=bool)
+        support[0, :] = support[:, 0] = True
+        if f % 2 == 0:
+            support[:, f // 2] = True
+
+        def on_support():
+            return np.fft.ifft2(np.fft.fft2(rng.standard_normal(shape)) * support).real
+
+        x, weights = on_support(), on_support()
+        assert np.allclose(np.fft.fft2(x)[~support], 0.0, atol=1e-12)
+        for residual in (False, True):
+            self.assert_match(x, self.generic_params(rng, x), weights, residual)
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_dead_zone_mask(self, residual):
+        # the raw mask 0.01 lies inside |m| <= alpha everywhere: the output
+        # is zero (x itself with the residual) and no parameter gets gradient
+        rng = np.random.default_rng(30)
+        x, weights = rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
+        params = rigged_params(bias_out=0.01, alpha=0.02)
+        got = outputs_and_gradients(filter_forward, x, params, weights, residual)
+        want = outputs_and_gradients(reference_filter, x, params, weights, residual)
+        np.testing.assert_array_equal(got[0], x if residual else 0.0)
+        for name, g, w in zip(NAMES[1:], got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        np.testing.assert_array_equal(got[1], weights if residual else 0.0)
+
+    @pytest.mark.parametrize("shape", [(249, 64), (7, 7)])
+    def test_identity_mask(self, shape):
+        # the raw mask 1 + alpha shrinks to exactly 1: the filter passes x
+        rng = np.random.default_rng(31)
+        x, weights = rng.standard_normal(shape), rng.standard_normal(shape)
+        params = rigged_params(bias_out=1.02, alpha=0.02)
+        got = outputs_and_gradients(filter_forward, x, params, weights, False)
+        assert np.abs(got[0] - x).max() <= 1e-12
+        assert np.abs(got[1] - weights).max() <= 1e-12
+        self.assert_match(x, params, weights, False)
+
+    def test_hidden_overflow_raises_numeric_error(self):
+        rng = np.random.default_rng(33)
+        params = random_params(rng)
+        params.w1.data[...] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="hidden layer"):
+            filter_forward(Tensor(rng.standard_normal((6, 8))), params)
+
+    def test_nan_mask_raises_numeric_error(self):
+        # every hidden unit is 2, so the products with w2 = +-1e308 are
+        # +-inf and sum to NaN, which the shrink would silently zero
+        params = rigged_params(bias_out=0.0)
+        params.b1.data[...] = 2.0
+        params.w2.data[...] = 1e308 * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="mask_net output"):
+            filter_forward(Tensor(np.ones((6, 8))), params)
+
+    def test_non_2d_input_rejected(self):
+        with pytest.raises(ShapeError):
+            filter_forward(Tensor(np.zeros(8)), rigged_params(bias_out=1.0))

@@ -1,6 +1,8 @@
 """Model assembly and the training loop: determinism, ablations, logging."""
 
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -154,6 +156,35 @@ class TestTraining:
         for name, p in result.model.params.items():
             np.testing.assert_array_equal(p.data, fresh.params[name].data)
         assert result.history == []
+
+
+#: trains the default model in a fresh interpreter and prints the last
+#: epoch's loss and a hash of every parameter's bytes
+_TRAIN_AND_HASH = """
+import hashlib, json
+from respden.config import RunConfig, validate_config
+from respden.train import train
+result = train(validate_config(RunConfig(seed=3, epochs=2, train_per_class=4, test_per_class=2)))
+digest = hashlib.sha256()
+for name, p in sorted(result.model.params.items()):
+    digest.update(name.encode())
+    digest.update(p.data.tobytes())
+print(json.dumps([repr(result.history[-1].train_loss), digest.hexdigest()]))
+"""
+
+
+class TestThreadInvariance:
+    def run_with_threads(self, threads: int) -> list:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(train_mod.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def test_same_seed_same_bits_at_one_and_two_blas_threads(self):
+        one, two = self.run_with_threads(1), self.run_with_threads(2)
+        assert one == two
 
 
 class TestEvaluate:
