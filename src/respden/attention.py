@@ -3,7 +3,7 @@
 Each block is pre-norm residual: x + attention(LN(x)), then
 y + SwishGLU(LN(y)). Attention computes two softmax maps from split
 query/key projections and subtracts the second, scaled by a learnable
-per-head (or shared) factor lambda, before multiplying by the values;
+per-head factor lambda, before multiplying by the values;
 common-mode attention mass cancels while stable structure survives.
 
 A block is two tape nodes, one per sublayer. Each hand-derived backward
@@ -16,8 +16,7 @@ ends in the shared layer-norm pullback plus the residual identity.
   (H, 2, N, N), the differential map a = m1 - lambda * m2, then a @ v with
   the heads merged back to (N, H * d_v), times `wo`, plus the input. It
   keeps the normalized tokens, head arrays, softmax maps, a and the merged
-  heads; a shared lambda's pullback is summed over the heads. q, k, v and
-  the scores are checked for NaN/Inf as they are made.
+  heads. q, k, v and the scores are checked for NaN/Inf as they are made.
 * `swish_glu` keeps n = LN(y), a = n @ w1, the branch-free sigmoid of a
   and n @ w2.
 """
@@ -65,8 +64,8 @@ class MhdaParams:
             )
         if self.wv.shape[1] % self.heads != 0:
             raise ShapeError(f"value width {self.wv.shape[1]} not divisible by heads={self.heads}")
-        if self.lam.shape not in ((self.heads,), (1,)):
-            raise ShapeError(f"lambda must have one entry per head or be shared, got {self.lam.shape}")
+        if self.lam.shape != (self.heads,):
+            raise ShapeError(f"lambda must have one entry per head, got {self.lam.shape}")
 
     @property
     def d_qk(self) -> int:
@@ -99,7 +98,6 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     _check_finite(s, "mhda attention scores")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     m = e / e.sum(axis=-1, keepdims=True)
-    # a shared (1,) lambda broadcasts over the head axis like a per-head one
     lam_h = lam.data.reshape(-1, 1, 1)
     a = m[:, 0] - lam_h * m[:, 1]
     merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
@@ -115,8 +113,6 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
         d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
         dot = (d_a * m).sum(axis=-1, keepdims=True)
         d_lam = -dot[:, 1].sum(axis=(1, 2))
-        if lam.shape == (1,):
-            d_lam = d_lam.sum(keepdims=True)
         d_s = m * (d_a - dot)
         d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
         d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)

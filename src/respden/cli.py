@@ -17,7 +17,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, validate_config
 from .datasets import SynthConfig, build_synth, write_synth
 from .errors import (
     CheckpointError,
@@ -54,8 +54,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--alpha", type=float)
-    for flag in ("no-aff", "no-ddl", "no-bias-loss", "aff-residual", "shared-lambda",
-                 "bd-project-first"):
+    for flag in ("no-aff", "no-ddl", "no-bias-loss"):
         p.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
                        action="store_const", const=True)
     p.add_argument("--train-per-class", dest="train_per_class", type=int)
@@ -66,15 +65,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-hi", dest="snr_hi", type=float)
 
 
-def _config_from_args(args: argparse.Namespace, mode: str) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     field_names = set(RunConfig.__dataclass_fields__)
     overrides = {k: v for k, v in vars(args).items() if k in field_names and v is not None}
-    overrides["mode"] = mode
     return parse_config(overrides, getattr(args, "config", None))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "train")
+    cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     result = train(cfg, log_path=log_path)
@@ -99,7 +97,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    data = prepare_data(cfg)
+    data = prepare_data(validate_config(cfg))
     report = evaluate_split(model, data, args.split)
     print(f"confusion (rows=truth):\n{report.confusion}")
     print(f"Sp/Se/Score: {format_triple(report.sp, report.se, report.score)}")
@@ -107,7 +105,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "synth")
+    cfg = _config_from_args(args)
     synth_cfg = SynthConfig(
         train_per_class=cfg.train_per_class, test_per_class=cfg.test_per_class,
         train_subjects=cfg.train_subjects, test_subjects=cfg.test_subjects,
@@ -123,8 +121,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     # zero entries would pass every row without probing anything
     if args.max_entries < 1:
         raise UsageError(f"--max-entries must be >= 1, got {args.max_entries}")
-    rows, ok = run_gradcheck(seed=args.seed if args.seed is not None else 0,
-                             max_entries=args.max_entries)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    rows, ok = run_gradcheck(seed=args.seed, max_entries=args.max_entries)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<28} max_rel_err={r.max_rel_err:.3e}  "
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p_gc.add_argument("--seed", type=int)
+    p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--max-entries", dest="max_entries", type=int, default=8,
                       help="entries sampled per large parameter tensor")
     p_gc.set_defaults(func=cmd_gradcheck)

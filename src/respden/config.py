@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 
-MODES = ("train", "eval", "synth", "gradcheck", "report")
-
 
 @dataclass
 class RunConfig:
-    mode: str = "train"
     dataset: str = "synth"          # "synth" or a directory of WAV + annotations
     split_file: str = ""            # defaults to <dataset>/split.txt for directories
     out_dir: str = "runs/default"
-    checkpoint: str = ""            # eval: checkpoint to load
     seed: int = 0
 
     # model dimensions
@@ -45,11 +41,6 @@ class RunConfig:
     no_aff: bool = False
     no_ddl: bool = False
     no_bias_loss: bool = False
-
-    # documented variants, off by default
-    aff_residual: bool = False
-    shared_lambda: bool = False
-    bd_project_first: bool = False
 
     # synthetic dataset shape
     train_per_class: int = 25
@@ -90,17 +81,21 @@ def _coerce(key: str, value: str):
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELDS:
-                raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
-            values[key] = _coerce(key, value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELDS:
+            raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
+        values[key] = _coerce(key, value)
     return values
 
 
@@ -109,7 +104,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if not cond:
             raise UsageError(msg)
 
-    need(cfg.mode in MODES, f"mode must be one of {MODES}, got '{cfg.mode}'")
+    need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     need(cfg.lr > 0, f"lr must be > 0, got {cfg.lr}")
     need(cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}")
     need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")

@@ -58,41 +58,42 @@ def subject_from_name(name: str) -> str:
 # -- annotation grammar -----------------------------------------------------------
 
 
+def _text_rows(path: str) -> list[tuple[int, list[str]]]:
+    """(line number, tab-separated columns) of each non-blank line of a UTF-8 file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
+    return [(lineno, line.strip().split("\t"))
+            for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
 def parse_annotation_file(path: str) -> list[tuple[float, float, Label]]:
     """Parse rows of ``start end crackle wheeze`` (tab-separated)."""
     cycles = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise DatasetError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cols)}")
-            try:
-                start, end = float(cols[0]), float(cols[1])
-                crackle, wheeze = int(cols[2]), int(cols[3])
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            if end <= start:
-                raise DatasetError(f"{path}:{lineno}: cycle end {end} <= start {start}")
-            if crackle not in (0, 1) or wheeze not in (0, 1):
-                raise DatasetError(f"{path}:{lineno}: crackle/wheeze flags must be 0 or 1")
-            cycles.append((start, end, Label.from_flags(crackle, wheeze)))
+    for lineno, cols in _text_rows(path):
+        if len(cols) != 4:
+            raise DatasetError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cols)}")
+        try:
+            start, end = float(cols[0]), float(cols[1])
+            crackle, wheeze = int(cols[2]), int(cols[3])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
+        if end <= start:
+            raise DatasetError(f"{path}:{lineno}: cycle end {end} <= start {start}")
+        if crackle not in (0, 1) or wheeze not in (0, 1):
+            raise DatasetError(f"{path}:{lineno}: crackle/wheeze flags must be 0 or 1")
+        cycles.append((start, end, Label.from_flags(crackle, wheeze)))
     return cycles
 
 
 def parse_split_file(path: str) -> dict[str, str]:
     splits = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or cols[1] not in SPLITS:
-                raise DatasetError(f"{path}:{lineno}: expected 'name<TAB>train|test'")
-            splits[cols[0]] = cols[1]
+    for lineno, cols in _text_rows(path):
+        if len(cols) != 2 or cols[1] not in SPLITS:
+            raise DatasetError(f"{path}:{lineno}: expected 'name<TAB>train|test'")
+        splits[cols[0]] = cols[1]
     return splits
 
 

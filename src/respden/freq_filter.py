@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .fourier import fft2, ifft2, scale_complex
-from .tensor import Tensor, _check_finite, add, soft_shrink
+from .tensor import Tensor, _check_finite, soft_shrink
 
 #: rows per block of the mask MLP: a 1024 x hidden float64 block of the
 #: hidden layer (256 KiB at hidden width 32) fits in L2 cache
@@ -120,8 +120,8 @@ def _column_weights(f: int) -> np.ndarray:
     return c
 
 
-def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:
-    """irfft2(shrink(even mask) * rfft2(x)) as one tape node; plus x with `residual`.
+def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
+    """irfft2(shrink(even mask) * rfft2(x)) as one tape node.
 
     The backward pulls the output cotangent back onto the half plane as
     rfft2(gy) * c_v / (T F), with c_v = 1 on the self-conjugate columns
@@ -145,8 +145,6 @@ def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> T
     live = np.abs(g) > params.alpha
     m = np.where(live, np.sign(g) * (np.abs(g) - params.alpha), 0.0)
     out = np.fft.irfft2(m * spec, s=(t, f))
-    if residual:
-        out += x.data
 
     def backward(gy):
         d_spec = np.fft.rfft2(gy)
@@ -164,8 +162,6 @@ def filter_forward(x: Tensor, params: FilterParams, residual: bool = False) -> T
             padded = np.zeros((t, f), dtype=complex)
             padded[:, :half[1]] = d_half
             d_x = np.fft.ifft2(padded).real * (t * f)
-            if residual:
-                d_x += gy
         return d_x, d_w1b[:2], d_w1b[2], d_w2, d_b2
 
     return Tensor._from_op(out, (x, params.w1, params.b1, params.w2, params.b2), backward,
@@ -215,13 +211,12 @@ def symmetrize(m: Tensor) -> Tensor:
     return Tensor._from_op(average(m.data), (m,), lambda g: (average(g),), "symmetrize")
 
 
-def reference_filter(x: Tensor, params: FilterParams, residual: bool = False) -> Tensor:
+def reference_filter(x: Tensor, params: FilterParams) -> Tensor:
     """The full-plane chain fft2 -> mask_net -> symmetrize -> soft_shrink -> ifft2.
 
-    Six tape nodes (seven with `residual`) computing what `filter_forward`
-    computes in one; the tests compare the two.
+    Six tape nodes computing what `filter_forward` computes in one; the
+    tests compare the two.
     """
     spectrum = fft2(x)
     mask = soft_shrink(symmetrize(mask_net(spectrum, params)), params.alpha)
-    y = ifft2(scale_complex(spectrum, mask))
-    return add(x, y) if residual else y
+    return ifft2(scale_complex(spectrum, mask))

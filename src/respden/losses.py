@@ -69,46 +69,24 @@ def ce_loss(logits: Tensor, label: int) -> Tensor:
     return neg(total_sum(mul(Tensor(onehot), ls)))
 
 
-def bias_denoise_loss(
-    p: Tensor,
-    label: int,
-    head: HeadParams,
-    epsilon: float,
-    project_first: bool = False,
-) -> Tensor:
-    """Smoothed cross-entropy on the normalized, projected features.
-
-    Default path pools tokens first, then layer-norms and projects; the
-    `project_first` variant norms and projects per token and pools the
-    logits (the two are pointwise-affine reorderings of each other).
-    """
+def bias_denoise_loss(p: Tensor, label: int, head: HeadParams, epsilon: float) -> Tensor:
+    """Smoothed cross-entropy on the pooled features, layer-normed and projected."""
     label = _check_label(label)
-    if project_first:
-        per_token = add(matmul(layer_norm(p, head.norm_g, head.norm_b), head.phi_w), head.phi_b)
-        logits = reshape(mean(per_token, axis=0), (1, N_CLASSES))
-    else:
-        normed = layer_norm(pooled_features(p), head.norm_g, head.norm_b)
-        logits = add(matmul(normed, head.phi_w), head.phi_b)
+    normed = layer_norm(pooled_features(p), head.norm_g, head.norm_b)
+    logits = add(matmul(normed, head.phi_w), head.phi_b)
     target = smoothed_target(label, epsilon).reshape(1, N_CLASSES)
     return neg(total_sum(mul(Tensor(target), log_softmax(mul(HEAD_GAIN, logits), axis=-1))))
 
 
-def total_loss(
-    p: Tensor,
-    logits: Tensor,
-    label: int,
-    beta: float,
-    epsilon: float,
-    head: HeadParams,
-    project_first: bool = False,
-) -> Tensor:
+def total_loss(p: Tensor, logits: Tensor, label: int, beta: float, epsilon: float,
+               head: HeadParams) -> Tensor:
     """beta * bias_denoise + (1 - beta) * cross_entropy."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     ce = ce_loss(logits, label)
     if beta == 0.0:
         return ce
-    bd = bias_denoise_loss(p, label, head, epsilon, project_first)
+    bd = bias_denoise_loss(p, label, head, epsilon)
     if beta == 1.0:
         return bd
     return add(mul(beta, bd), mul(1.0 - beta, ce))

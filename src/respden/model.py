@@ -53,7 +53,6 @@ def _param_table(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], float | _No
     """
     d, h, hidden = cfg.dim, cfg.heads, cfg.mask_hidden
     ffn = 2 * d
-    lam_shape = (1,) if cfg.shared_lambda else (h,)
     table = [
         ("aff.w1", (2, hidden), _Normal(MASK_W_STD)),
         ("aff.b1", (hidden,), MASK_B1),
@@ -72,7 +71,7 @@ def _param_table(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], float | _No
             (b + "wk", (d, d), _Normal(INIT_STD)),
             (b + "wv", (d, d), _Normal(INIT_STD)),
             (b + "wo", (d, d), _Normal(INIT_STD)),
-            (b + "lam", lam_shape, LAMBDA_INIT),
+            (b + "lam", (h,), LAMBDA_INIT),
             (b + "ln2.g", (d,), 1.0),
             (b + "ln2.b", (d,), 0.0),
             (b + "ffn.w1", (d, ffn), _Normal(INIT_STD)),
@@ -180,15 +179,14 @@ class Model:
         values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec, dtype=np.float64)
         x = Tensor(values)
         if not self.cfg.no_aff:
-            x = filter_forward(x, self.filter_params(), residual=self.cfg.aff_residual)
+            x = filter_forward(x, self.filter_params())
         return backbone_forward(x, self.backbone_params())
 
     def sample_loss(self, spec, label: int) -> Tensor:
         p = self.features(spec)
         logits = cls_logits(p, self.head_params())
         beta = 0.0 if self.cfg.no_bias_loss else self.cfg.beta
-        return total_loss(p, logits, label, beta, self.cfg.epsilon, self.head_params(),
-                          project_first=self.cfg.bd_project_first)
+        return total_loss(p, logits, label, beta, self.cfg.epsilon, self.head_params())
 
     def logits(self, spec) -> np.ndarray:
         with no_grad():

@@ -28,26 +28,44 @@ def variant_name(flags: dict) -> str:
     return "+".join(on) if on else "full"
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
-    """Return (header record, epoch records) from a line-delimited log."""
-    header = None
-    epochs = []
+    """Return (header record, epoch records) from a line-delimited log.
+
+    Every record must be a JSON object, a header's config an object and
+    each epoch record's sp, se and score finite numbers; unknown keys are
+    ignored.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{path}:{lineno}: invalid metrics record: {exc}") from exc
-                if record.get("type") == "header":
-                    header = record
-                elif record.get("type") == "epoch":
-                    epochs.append(record)
+            lines = fh.readlines()
     except OSError as exc:
         raise DatasetError(f"cannot read metrics log {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"metrics log {path} is not UTF-8 text: {exc}") from exc
+    header = None
+    epochs = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid metrics record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{lineno}: a metrics record must be a JSON object")
+        if record.get("type") == "header":
+            if not isinstance(record.get("config", {}), dict):
+                raise DatasetError(f"{path}:{lineno}: the header's config must be a JSON object")
+            header = record
+        elif record.get("type") == "epoch":
+            if not all(_is_finite_number(record.get(key)) for key in ("sp", "se", "score")):
+                raise DatasetError(f"{path}:{lineno}: an epoch record needs finite sp, se and score")
+            epochs.append(record)
     if header is None or not epochs:
         raise DatasetError(f"metrics log {path} lacks a header or epoch records")
     return header, epochs

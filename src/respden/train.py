@@ -140,7 +140,7 @@ def header_line(cfg: RunConfig) -> str:
 
 
 def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list | None = None,
-          log_path: str | None = None, max_steps: int | None = None) -> TrainResult:
+          log_path: str | None = None) -> TrainResult:
     """Run Adam over the hybrid loss; returns the model, state, and history.
 
     Metrics in each epoch record are computed on the test split when one
@@ -178,14 +178,10 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list |
             epoch_loss += value * len(batch)
             seen += len(batch)
             steps_done += 1
-            if max_steps is not None and steps_done >= max_steps:
-                break
         report = evaluate_indices(model, data, metric_idx)
         record = EpochRecord(epoch, epoch_loss / max(seen, 1), report.se, report.sp, report.score)
         result.history.append(record)
         result.log_lines.append(record.to_json())
-        if max_steps is not None and steps_done >= max_steps:
-            break
 
     if log_path:
         os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)

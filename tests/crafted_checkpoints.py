@@ -36,4 +36,6 @@ MALFORMED = {
     "block_name_not_utf8": container(header({}), block_head(b"\xff\xfe", [1]) + bytes(8), 1),
     "header_not_object": container(b"[1, 2]"),
     "unknown_config_key": container(header({"warp_speed": 9})),
+    # a key of a run-config field that no longer exists
+    "retired_config_key": container(header({"aff_residual": False})),
 }

@@ -192,8 +192,6 @@ def attention_node(x: Tensor, params) -> Tensor:
         d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
         dot = (d_a * m).sum(axis=-1, keepdims=True)
         d_lam = -dot[:, 1].sum(axis=(1, 2))
-        if lam.shape == (1,):
-            d_lam = d_lam.sum(keepdims=True)
         d_s = m * (d_a - dot)
         d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
         d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)

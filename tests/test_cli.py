@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, pipeline composability."""
 
+import argparse
 import json
 import os
 
@@ -9,7 +10,7 @@ import pytest
 from respden.checkpoint import (
     checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint,
 )
-from respden.cli import main
+from respden.cli import _add_config_flags, main
 from respden.config import RunConfig, validate_config
 from respden.model import Model, seed_stream
 from respden.train import evaluate_split, prepare_data
@@ -86,6 +87,33 @@ class TestExitCodes:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
+    def test_negative_seed_is_2(self, command, tmp_path, capsys):
+        argv = {"train": ["train", "--epochs", "0", "--out-dir", str(tmp_path / "run"), *TINY],
+                "eval": ["eval", "--checkpoint", str(tmp_path / "ckpt.bin")],
+                "gradcheck": ["gradcheck"]}[command]
+        if command == "eval":
+            cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+            save_checkpoint(checkpoint_from_model(Model(cfg), epoch=0), argv[-1])
+        code, out, err = run([*argv, "--seed", "-1"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("which", ["annotation", "split", "config"])
+    def test_not_utf8_text_input(self, which, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epochs = 1\n")
+        bad = {"annotation": sorted(ds.glob("*.txt"))[0], "split": ds / "split.txt",
+               "config": cfg_file}[which]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        code, _, err = run(["train", "--config", str(cfg_file), "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == (2 if which == "config" else 3)
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_unknown_flag_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--warp-speed", "9"])
@@ -143,6 +171,14 @@ class TestExitCodes:
         assert header["config"]["batch"] == 4   # TINY flag wins over file
 
 
+def test_train_flags_are_the_config_fields():
+    # a flag whose dest is not a RunConfig field would parse and do nothing
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    assert dests == set(RunConfig.__dataclass_fields__)
+
+
 class TestGradcheckCommand:
     def test_passes_with_exit_0(self, capsys):
         code, out, _ = run(["gradcheck", "--seed", "0", "--max-entries", "2"], capsys)
@@ -194,3 +230,22 @@ class TestReportCommand:
     def test_missing_log_is_3(self, capsys):
         code, _, _ = run(["report", "/no/such.jsonl"], capsys)
         assert code == 3
+
+    HEADER = b'{"type": "header", "config": {}}\n'
+    EPOCH = b'{"type": "epoch", "epoch": 0, "sp": 0.5, "se": 0.5, "score": 0.5}\n'
+    MALFORMED_LOGS = {
+        "record_not_object": HEADER + EPOCH + b"3\n",
+        "config_not_object": b'{"type": "header", "config": [1]}\n' + EPOCH,
+        "epoch_without_score": HEADER + EPOCH + b'{"type": "epoch", "epoch": 1, "sp": 0.5, "se": 0.5}\n',
+        "metric_not_finite": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": NaN'),
+        "not_utf8": HEADER + EPOCH + b"\xff\n",
+        "nested_too_deep": HEADER + EPOCH + b"[" * 100_000 + b"\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_LOGS))
+    def test_malformed_log_is_3(self, kind, tmp_path, capsys):
+        log = tmp_path / "bad.jsonl"
+        log.write_bytes(self.MALFORMED_LOGS[kind])
+        code, out, err = run(["report", str(log)], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "bad.jsonl" in err

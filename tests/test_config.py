@@ -17,7 +17,6 @@ class TestDefaults:
         assert cfg.epsilon == 0.2
         assert cfg.alpha == 0.02
         assert cfg.dataset == "synth"
-        assert cfg.mode == "train"
 
     def test_model_defaults(self):
         cfg = parse_config({})
@@ -81,6 +80,14 @@ class TestFileGrammar:
         path = tmp_path / "run.cfg"
         path.write_text("no_aff = maybe\n")
         with pytest.raises(UsageError, match="no_aff"):
+            parse_config({}, str(path))
+
+    @pytest.mark.parametrize("key", ["mode", "checkpoint", "aff_residual", "shared_lambda",
+                                     "bd_project_first"])
+    def test_retired_key_rejected(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = false\n")
+        with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
             parse_config({}, str(path))
 
     def test_missing_file(self):

@@ -220,14 +220,6 @@ class TestFilterForward:
         shrunk = soft_shrink(Tensor(raw), params.alpha).data
         assert (shrunk[np.abs(raw) <= params.alpha] == 0.0).all()
 
-    def test_residual_variant_adds_input(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 8))
-        params = random_params(rng, scale=0.3)
-        plain = filter_forward(Tensor(x), params).data
-        residual = filter_forward(Tensor(x), params, residual=True).data
-        np.testing.assert_allclose(residual, x + plain, atol=1e-12)
-
     def test_gradients_through_full_chain(self):
         rng = np.random.default_rng(12)
         params = random_params(rng, hidden=4, scale=0.2, requires_grad=True)
@@ -245,12 +237,12 @@ class TestFilterForward:
             random_params(rng, alpha=-0.1)
 
 
-def outputs_and_gradients(fn, x, params, weights, residual):
+def outputs_and_gradients(fn, x, params, weights):
     """fn's output and the gradients of sum(weights * output) w.r.t. x, w1, b1, w2, b2."""
     xt = Tensor(x, requires_grad=True)
     leaves = [Tensor(p.data.copy(), requires_grad=True)
               for p in (params.w1, params.b1, params.w2, params.b2)]
-    out = fn(xt, FilterParams(*leaves, alpha=params.alpha), residual)
+    out = fn(xt, FilterParams(*leaves, alpha=params.alpha))
     total_sum(mul(Tensor(weights), out)).backward()
     return [out.data, xt.grad] + [p.grad for p in leaves]
 
@@ -277,19 +269,18 @@ class TestFusedMatchesReference:
         params.alpha = float(0.5 * (mags[len(mags) // 2 - 1] + mags[len(mags) // 2]))
         return params
 
-    def assert_match(self, x, params, weights, residual):
-        got = outputs_and_gradients(filter_forward, x, params, weights, residual)
-        want = outputs_and_gradients(reference_filter, x, params, weights, residual)
+    def assert_match(self, x, params, weights):
+        got = outputs_and_gradients(filter_forward, x, params, weights)
+        want = outputs_and_gradients(reference_filter, x, params, weights)
         for name, g, w in zip(NAMES, got, want):
             # an all-zero reference gradient must be matched exactly
             assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
 
-    @pytest.mark.parametrize("residual", [False, True])
     @pytest.mark.parametrize("shape", [(249, 64), (249, 63), (6, 8), (9, 5), (5, 6), (7, 7)])
-    def test_output_and_five_gradients(self, shape, residual):
+    def test_output_and_five_gradients(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
-        self.assert_match(x, self.generic_params(rng, x), rng.standard_normal(shape), residual)
+        self.assert_match(x, self.generic_params(rng, x), rng.standard_normal(shape))
 
     @pytest.mark.parametrize("shape", [(8, 6), (9, 6), (9, 7)])
     def test_self_conjugate_lines_alone(self, shape):
@@ -308,22 +299,20 @@ class TestFusedMatchesReference:
 
         x, weights = on_support(), on_support()
         assert np.allclose(np.fft.fft2(x)[~support], 0.0, atol=1e-12)
-        for residual in (False, True):
-            self.assert_match(x, self.generic_params(rng, x), weights, residual)
+        self.assert_match(x, self.generic_params(rng, x), weights)
 
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_dead_zone_mask(self, residual):
+    def test_dead_zone_mask(self):
         # the raw mask 0.01 lies inside |m| <= alpha everywhere: the output
-        # is zero (x itself with the residual) and no parameter gets gradient
+        # is zero and neither x nor any parameter gets gradient
         rng = np.random.default_rng(30)
         x, weights = rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
         params = rigged_params(bias_out=0.01, alpha=0.02)
-        got = outputs_and_gradients(filter_forward, x, params, weights, residual)
-        want = outputs_and_gradients(reference_filter, x, params, weights, residual)
-        np.testing.assert_array_equal(got[0], x if residual else 0.0)
+        got = outputs_and_gradients(filter_forward, x, params, weights)
+        want = outputs_and_gradients(reference_filter, x, params, weights)
+        np.testing.assert_array_equal(got[0], 0.0)
         for name, g, w in zip(NAMES[1:], got[1:], want[1:]):
             np.testing.assert_array_equal(g, w, err_msg=name)
-        np.testing.assert_array_equal(got[1], weights if residual else 0.0)
+        np.testing.assert_array_equal(got[1], 0.0)
 
     @pytest.mark.parametrize("shape", [(249, 64), (7, 7)])
     def test_identity_mask(self, shape):
@@ -331,10 +320,10 @@ class TestFusedMatchesReference:
         rng = np.random.default_rng(31)
         x, weights = rng.standard_normal(shape), rng.standard_normal(shape)
         params = rigged_params(bias_out=1.02, alpha=0.02)
-        got = outputs_and_gradients(filter_forward, x, params, weights, False)
+        got = outputs_and_gradients(filter_forward, x, params, weights)
         assert np.abs(got[0] - x).max() <= 1e-12
         assert np.abs(got[1] - weights).max() <= 1e-12
-        self.assert_match(x, params, weights, False)
+        self.assert_match(x, params, weights)
 
     def test_hidden_overflow_raises_numeric_error(self):
         rng = np.random.default_rng(33)

@@ -132,11 +132,6 @@ class TestTraining:
             assert set(e) == {"type", "epoch", "train_loss", "se", "sp", "score"}
         assert len(result.history) == 2
 
-    def test_max_steps_caps_training(self):
-        cfg = tiny_cfg(epochs=50)
-        result = train(cfg, max_steps=3)
-        assert len(result.step_losses) == 3
-
     def test_non_finite_loss_aborts_with_step_diagnostic(self, monkeypatch):
         real_model = Model
 
