@@ -7,8 +7,15 @@ spectrogram conventions that the pipeline does not inherit from elsewhere
 are reproducible; the analysis window is always the periodic Hann.
 
 The fixed filters are designed once, not once per clip: the resampling
-low-pass once per (up, down) rate pair, the analysis window and the mel
+design once per (up, down) rate pair, the analysis window and the mel
 filterbank once per process, from `DEFAULT_SPEC_CONFIG`.
+
+Resampling computes the windowed-sinc sums of `scipy.signal.resample_poly`
+with its default Kaiser design as a few polyphase GEMMs per clip (see
+`_Polyphase`). They sum in another order, so outputs agree with
+`resample_poly` to within 1e-13 * max|x| rather than bitwise; they do not
+depend on the BLAS thread count. The design grows with the source rate,
+which `wavio.MAX_SAMPLE_RATE` (192 kHz) bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
+from scipy.signal import firwin
 from scipy.sparse import csr_array
 
 from .errors import ShapeError
@@ -115,36 +122,116 @@ def _read_only_csr(dense: np.ndarray) -> csr_array:
     return sparse
 
 
-@functools.lru_cache(maxsize=4)
-def _lowpass(up: int, down: int) -> np.ndarray:
-    """The anti-aliasing FIR `resample_poly` designs by default, read-only.
+#: outputs per band matrix of the polyphase design
+_GROUP = 16
 
-    The bound is small because the filter has 20 * max(up, down) + 1 taps:
-    three device rates need three entries, and an odd rate such as 44101 Hz
-    needs megabytes.
+
+@dataclass(frozen=True)
+class _Polyphase:
+    """Resampling by up/down (coprime) as a few strided GEMMs.
+
+    Output k is sum_m h[p + m*up] * x[i - m], where (i, p) = divmod((k + pre)*down, up)
+    and h is the anti-aliasing FIR times `up`, front-padded and offset by `pre`
+    as `scipy.signal.resample_poly` does it. The phase pattern repeats every
+    `up` outputs. One base period of Q = lcm(up, 16) outputs is cut into groups
+    of 16; `taps[g]` holds group g's 16 phase filters as a band matrix over
+    its input window. A GEMM row is `repeats` base periods, enough that the
+    row stride is at least the window width: a narrower stride makes numpy's
+    matmul leave BLAS for its own loop. A run is a span of groups whose
+    windows start `slope` samples apart, so one matmul of a strided view of
+    the padded input covers all of a run's rows, groups and base periods.
+    """
+
+    taps: np.ndarray  # (Q / 16, width, 16), read-only
+    advance: int  # inputs consumed by one base period
+    repeats: int  # base periods per GEMM row
+    slope: int  # window offset from one group of a run to the next
+    runs: tuple[tuple[int, int, int], ...]  # (first group, end group, its window start)
+    lead: int  # zeros in front of the input
+    reach: int  # padded samples spanned by a row's windows
+
+    def apply(self, x: np.ndarray, n_out: int) -> np.ndarray:
+        n_groups, width, _ = self.taps.shape
+        stride = self.repeats * self.advance
+        rows = -(-n_out // (self.repeats * n_groups * _GROUP))
+        padded = np.zeros(max(self.lead + x.size, self.reach + (rows - 1) * stride))
+        padded[self.lead : self.lead + x.size] = x
+        out = np.empty((rows, self.repeats, n_groups, _GROUP))
+        step = padded.strides[0]
+        for first, end, start in self.runs:
+            windows = np.lib.stride_tricks.as_strided(
+                padded[start:], shape=(self.repeats, end - first, rows, width),
+                strides=(self.advance * step, self.slope * step, stride * step, step),
+                writeable=False,
+            )
+            np.matmul(windows, self.taps[first:end], out=out[:, :, first:end].transpose(1, 2, 0, 3))
+        return out.reshape(-1)[:n_out]
+
+
+@functools.lru_cache(maxsize=4)
+def _polyphase(up: int, down: int) -> _Polyphase:
+    """The design for one coprime (up, down), with `resample_poly`'s default filter.
+
+    The bound is small because a design holds lcm(up, 16) x width floats,
+    and the filter has 20 * max(up, down) + 1 taps: ICBHI's three device
+    rates need at most 125 KB each, but an odd rate such as 44101 Hz
+    (up = 16000) needs 14 MB.
     """
     m = max(up, down)
-    return _read_only(firwin(2 * 10 * m + 1, 1.0 / m, window=("kaiser", 5.0)))
+    half = 10 * m
+    pad = down - half % down
+    h = np.concatenate((np.zeros(pad), firwin(2 * half + 1, 1.0 / m, window=("kaiser", 5.0)) * up))
+    k = np.arange(math.lcm(up, _GROUP))
+    newest, phase = divmod((k + (half + pad) // down) * down, up)
+    lo = (newest - (h.size - 1 - phase) // up).reshape(-1, _GROUP).min(axis=1)
+    hi = newest.reshape(-1, _GROUP).max(axis=1)
+    # runs of groups whose windows start `slope` apart drift from the true
+    # starts by at most _GROUP samples
+    n_groups = lo.size
+    slope = (2 * _GROUP * down + up) // (2 * up)  # round(_GROUP * down / up)
+    drift = abs(_GROUP * down - slope * up)
+    per_run = max(1, min(n_groups, _GROUP * up // drift)) if drift else n_groups
+    g = np.arange(n_groups)
+    offset = g % per_run * slope
+    starts = np.minimum.reduceat(lo - offset, np.arange(0, n_groups, per_run))
+    base = starts[g // per_run] + offset
+    width = int((hi - base).max()) + 1
+    # scatter each output's phase filter into its column of its group's matrix
+    lag = np.arange(-(-h.size // up))
+    idx = phase[:, None] + lag * up
+    live = idx < h.size
+    col = np.broadcast_to(k[:, None], idx.shape)[live]
+    row = (newest[:, None] - lag - base[k // _GROUP, None])[live]
+    taps = np.zeros((n_groups, width, _GROUP))
+    taps[col // _GROUP, row, col % _GROUP] = h[idx[live]]
+    lead = max(0, -int(base.min()))
+    runs = tuple((f, min(f + per_run, n_groups), int(base[f]) + lead)
+                 for f in range(0, n_groups, per_run))
+    advance = k.size * down // up
+    repeats = -(-width // advance)
+    last_start = max(start + (end - first - 1) * slope for first, end, start in runs)
+    return _Polyphase(taps=_read_only(taps), advance=advance, repeats=repeats, slope=slope,
+                      runs=runs, lead=lead, reach=last_start + (repeats - 1) * advance + width)
+
+
+def resampled_length(n: int, source_rate: int, target_rate: int = TARGET_RATE) -> int:
+    """Samples `resample` makes of n samples: round(n * target / source)."""
+    return int(round(n * target_rate / source_rate))
 
 
 def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
     """Band-limited (polyphase windowed-sinc) resampling.
 
-    Output length is round(len * target / source); equal rates pass the
-    samples through untouched.
+    Output length is `resampled_length`; equal rates pass the samples
+    through untouched.
     """
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if clip.sample_rate == target_rate:
         return clip
     g = math.gcd(target_rate, clip.sample_rate)
-    up, down = target_rate // g, clip.sample_rate // g
-    # resample_poly copies an explicit window before scaling it by `up`
-    out = resample_poly(clip.samples, up, down, window=_lowpass(up, down))
-    want = int(round(clip.samples.size * target_rate / clip.sample_rate))
-    out = out[:want]
-    if out.size < want:  # pragma: no cover - resample_poly returns ceil(n*up/down) >= want
-        out = np.pad(out, (0, want - out.size))
+    n_out = resampled_length(clip.samples.size, clip.sample_rate, target_rate)
+    out = _polyphase(target_rate // g, clip.sample_rate // g).apply(clip.samples, n_out)
     return AudioClip(out, target_rate, clip.label, clip.subject_id)
 
 

@@ -136,7 +136,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         hlen = _read_u32(fh, size, "header length")
         try:
             header = json.loads(_read_exact(fh, size, hlen, "header"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"checkpoint header is a JSON {type(header).__name__}, not an object")

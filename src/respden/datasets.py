@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS
+from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS, resampled_length
 from .errors import DatasetError, MissingAudioError
 from .wavio import read_wav, write_wav
 
@@ -129,6 +129,9 @@ def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, list[
             hi = min(int(round(end * rate)), samples.size)
             if hi <= lo:
                 raise DatasetError(f"{ann_path}: cycle {k} lies outside the recording")
+            if resampled_length(hi - lo, rate) == 0:
+                raise DatasetError(f"{ann_path}: cycle {k} of {wav_path} is {hi - lo} samples "
+                                   f"at {rate} Hz, which resample to none at {TARGET_RATE} Hz")
             clips.append(AudioClip(samples[lo:hi], rate, label, subject))
             manifest.entries.append(ManifestEntry(f"{name}#{k}", label, subject, splits[name]))
     manifest.validate_patient_disjoint()

@@ -23,8 +23,12 @@ def format_triple(sp: float, se: float, score: float) -> str:
     return f"{truncate_pct(sp):.2f} / {truncate_pct(se):.2f} / {truncate_pct(score):.2f}"
 
 
+ABLATION_FLAGS = ("no_aff", "no_ddl", "no_bias_loss")
+
+
 def variant_name(flags: dict) -> str:
-    on = [k for k in ("no_aff", "no_ddl", "no_bias_loss") if flags.get(k)]
+    """'+'-joined names of the ablation flags that are true, or 'full'."""
+    on = [k for k in ABLATION_FLAGS if flags.get(k)]
     return "+".join(on) if on else "full"
 
 
@@ -35,9 +39,9 @@ def _is_finite_number(value) -> bool:
 def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
     """Return (header record, epoch records) from a line-delimited log.
 
-    Every record must be a JSON object, a header's config an object and
-    each epoch record's sp, se and score finite numbers; unknown keys are
-    ignored.
+    Every record must be a JSON object, a header's config an object whose
+    ablation flags are booleans, and each epoch record's sp, se and score
+    finite numbers; unknown keys are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -59,8 +63,12 @@ def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
         if not isinstance(record, dict):
             raise DatasetError(f"{path}:{lineno}: a metrics record must be a JSON object")
         if record.get("type") == "header":
-            if not isinstance(record.get("config", {}), dict):
+            config = record.get("config", {})
+            if not isinstance(config, dict):
                 raise DatasetError(f"{path}:{lineno}: the header's config must be a JSON object")
+            if not all(isinstance(config.get(k, False), bool) for k in ABLATION_FLAGS):
+                raise DatasetError(f"{path}:{lineno}: the ablation flags "
+                                   f"{', '.join(ABLATION_FLAGS)} must be JSON booleans")
             header = record
         elif record.get("type") == "epoch":
             if not all(_is_finite_number(record.get(key)) for key in ("sp", "se", "score")):

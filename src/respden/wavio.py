@@ -3,7 +3,10 @@
 Decoding is delegated to scipy (8-bit unsigned, 16/24/32-bit signed PCM
 and float formats); samples are returned as float64 in [-1, 1], stereo
 averaged down to mono. Float data is clipped to [-1, 1] after averaging.
-A file scipy cannot decode, or with a cut-off data chunk, is a `DatasetError`.
+A file scipy cannot decode, with a cut-off data chunk, or with a sample
+rate outside 1..`MAX_SAMPLE_RATE` Hz is a `DatasetError`: resampling
+designs a filter whose size grows with the rate, so the header alone must
+not choose it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from scipy.io import wavfile
 
 from .errors import DatasetError, MissingAudioError
 
+MAX_SAMPLE_RATE = 192_000
 _PCM_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
 #: what scipy raises on a damaged header besides its own ValueError
 _DECODE_ERRORS = (ValueError, struct.error, EOFError, ZeroDivisionError, UnboundLocalError)
@@ -45,6 +49,9 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
             rate, data = wavfile.read(fh)
         except _DECODE_ERRORS as exc:
             raise DatasetError(f"unreadable WAV file {path}: {exc}") from exc
+    if not 0 < rate <= MAX_SAMPLE_RATE:
+        raise DatasetError(f"WAV file {path} has sample rate {rate} Hz, "
+                           f"outside 1..{MAX_SAMPLE_RATE}")
     # scale first: the averaged channels are float, which loses the PCM type
     scaled = data.dtype in _PCM_SCALE or data.dtype == np.uint8
     if data.dtype in _PCM_SCALE:

@@ -1,4 +1,6 @@
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -27,3 +29,23 @@ def corrupt_model_row(monkeypatch):
         monkeypatch.setattr(gradcheck, "composed_model_suite", suite)
 
     return install
+
+
+@pytest.fixture
+def run_with_blas_threads():
+    """Run a script in a fresh interpreter capped at `threads` BLAS threads.
+
+    Returns the JSON value on the last line the script prints.
+    """
+    import respden
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(respden.__file__)))
+
+    def run(script: str, threads: int):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    return run

@@ -27,15 +27,20 @@ def header(config: dict) -> bytes:
     return json.dumps({"config": config, "epoch": 0, "adam_step": None}).encode("utf-8")
 
 
-#: name -> the bytes of a container with that one fault
+#: name -> (the bytes of a container with that one fault, text its error must contain)
 MALFORMED = {
     # the element count overflows int64
-    "extents_overflow": container(header({}), block_head(b"pos", [2**32 - 1] * 3), 1),
+    "extents_overflow": (container(header({}), block_head(b"pos", [2**32 - 1] * 3), 1),
+                         "data of 'pos'"),
     # the element count is 2**64, which wraps to 0 in int64
-    "extents_wrap_to_zero": container(header({}), block_head(b"pos", [2**21, 2**21, 2**22]), 1),
-    "block_name_not_utf8": container(header({}), block_head(b"\xff\xfe", [1]) + bytes(8), 1),
-    "header_not_object": container(b"[1, 2]"),
-    "unknown_config_key": container(header({"warp_speed": 9})),
+    "extents_wrap_to_zero": (
+        container(header({}), block_head(b"pos", [2**21, 2**21, 2**22]), 1), "data of 'pos'"),
+    "block_name_not_utf8": (container(header({}), block_head(b"\xff\xfe", [1]) + bytes(8), 1),
+                            "not UTF-8"),
+    "header_not_object": (container(b"[1, 2]"), "not an object"),
+    # deeper than the JSON decoder recurses
+    "header_nested_too_deep": (container(b"[" * 100_000), "unreadable checkpoint header"),
+    "unknown_config_key": (container(header({"warp_speed": 9})), "warp_speed"),
     # a key of a run-config field that no longer exists
-    "retired_config_key": container(header({"aff_residual": False})),
+    "retired_config_key": (container(header({"aff_residual": False})), "aff_residual"),
 }

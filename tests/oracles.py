@@ -5,7 +5,8 @@ scripted recurrences) and never calls the library paths it checks. The
 one exception is the unfused denoise block: it is the 11-node tape chain
 that the two fused sublayer nodes replaced, built from the library's
 unfused primitives, so that the fused forward can be required to be
-bit-identical to it.
+bit-identical to it. The resampling oracle is scipy's `resample_poly`,
+whose per-sample `upfirdn` loop the library's polyphase GEMMs replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.signal import resample_poly
 
 from respden.tensor import Tensor, _check_finite, add, layer_norm, matmul, mul
 
@@ -258,6 +260,12 @@ def dft_peak_hz(samples: np.ndarray, rate: int) -> tuple[float, float]:
     spec[0] = 0.0  # ignore DC
     k = int(np.argmax(spec))
     return k * rate / samples.size, rate / samples.size
+
+
+def resample_poly_oracle(x: np.ndarray, rate: int, target: int = 16000) -> np.ndarray:
+    """`resample_poly` with its default Kaiser-windowed design, cut to round(n * target / rate)."""
+    g = math.gcd(rate, target)
+    return resample_poly(x, target // g, rate // g)[: round(x.size * target / rate)]
 
 
 def dft_frame_direct(frame: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.signal import resample_poly
+from numpy.lib.array_utils import byte_bounds
 
 from respden import audio
 from respden.audio import (
@@ -21,10 +21,25 @@ from respden.audio import (
     normalize_amplitude,
     preprocess,
     resample,
+    resampled_length,
 )
 from respden.errors import ShapeError
 
-from oracles import dft_frame_direct, dft_peak_hz, mel_spectrogram_per_call
+from oracles import dft_frame_direct, dft_peak_hz, mel_spectrogram_per_call, resample_poly_oracle
+
+
+RATES = [4000, 8000, 10000, 22050, 44100, 48000, 44101]
+
+_RESAMPLE_AND_HASH = f"""
+import hashlib, json
+import numpy as np
+from respden.audio import AudioClip, Label, resample
+digest = hashlib.sha256()
+for rate in {RATES}:
+    x = np.random.default_rng(rate).uniform(-1, 1, int(2.7 * rate))
+    digest.update(resample(AudioClip(x, rate, Label.NORMAL, "s")).samples.tobytes())
+print(json.dumps(digest.hexdigest()))
+"""
 
 
 def make_clip(samples, rate=16000, label=Label.NORMAL):
@@ -58,16 +73,65 @@ class TestResample:
     @pytest.mark.parametrize("rate,up,down", [(4000, 4, 1), (10000, 8, 5), (22050, 320, 441),
                                               (44100, 160, 441)])
     def test_cached_filter_is_bit_equal_to_default_design(self, rate, up, down):
+        # the GEMMs sum each output's <= 61 products in another order than
+        # resample_poly: 61 * 2**-53 * |phase|_1 * max|x| is about 1e-14 * max|x|
         x = np.random.default_rng(rate).uniform(-1, 1, int(2.7 * rate))
-        want = resample_poly(x, up, down)[: round(x.size * 16000 / rate)]
-        for _ in range(2):  # the second call reads the cached filter
-            np.testing.assert_array_equal(resample(make_clip(x, rate=rate)).samples, want)
+        want = resample_poly_oracle(x, rate)
+        assert audio._polyphase(up, down).taps.shape[0] == np.lcm(up, 16) // 16
+        for _ in range(2):  # the second call reads the cached design
+            got = resample(make_clip(x, rate=rate)).samples
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 441, 1001])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_matches_resample_poly(self, rate, n):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        want = resample_poly_oracle(x, rate)
+        assert want.size == resampled_length(n, rate)
+        if want.size == 0:
+            with pytest.raises(ValueError, match="no samples"):
+                resample(make_clip(x, rate=rate))
+            return
+        got = resample(make_clip(x, rate=rate)).samples
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_design_rows_stay_on_blas(self, rate):
+        # numpy's matmul leaves BLAS for its own loop when a row stride is
+        # narrower than the row
+        g = np.gcd(16000, rate)
+        design = audio._polyphase(16000 // g, rate // g)
+        assert design.repeats * design.advance >= design.taps.shape[1]
+
+    @pytest.mark.parametrize("n", [7, 1001])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_windows_stay_inside_the_padded_input(self, rate, n, monkeypatch):
+        real = np.lib.stride_tricks.as_strided
+        views = []
+
+        def checked(x, *args, **kwargs):
+            view = real(x, *args, **kwargs)
+            lo, hi = byte_bounds(view)
+            base_lo, base_hi = byte_bounds(x)
+            assert base_lo <= lo and hi <= base_hi
+            views.append(view)
+            return view
+
+        monkeypatch.setattr(np.lib.stride_tricks, "as_strided", checked)
+        resample(make_clip(np.ones(n), rate=rate))
+        assert views
+
+    def test_same_bits_at_one_and_two_blas_threads(self, run_with_blas_threads):
+        one, two = (run_with_blas_threads(_RESAMPLE_AND_HASH, t) for t in (1, 2))
+        assert one == two
 
     def test_cached_filter_is_read_only(self):
-        taps = audio._lowpass(160, 441)
-        assert taps.size == 2 * 10 * 441 + 1
+        taps = audio._polyphase(160, 441).taps
+        assert taps.shape == (160 // 16, 100, 16)
         with pytest.raises(ValueError):
-            taps[0] = 1.0
+            taps[0, 0, 0] = 1.0
 
 
 class TestFixLength:

@@ -1,6 +1,7 @@
 """Checkpoint container: bitwise roundtrips and distinct corruption errors."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -135,9 +136,10 @@ class TestCorruption:
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_file_is_a_checkpoint_error(self, kind, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(MALFORMED[kind])
+        raw, names = MALFORMED[kind]
+        path.write_bytes(raw)
         expected = TruncatedError if kind.startswith("extents") else CheckpointError
-        with pytest.raises(expected):
+        with pytest.raises(expected, match=re.escape(names)):
             model_from_checkpoint(load_checkpoint(str(path)))
 
     def test_errors_are_distinct_types(self):

@@ -14,6 +14,7 @@ from respden.cli import _add_config_flags, main
 from respden.config import RunConfig, validate_config
 from respden.model import Model, seed_stream
 from respden.train import evaluate_split, prepare_data
+from respden.wavio import MAX_SAMPLE_RATE, write_wav
 
 from crafted_checkpoints import MALFORMED
 
@@ -143,10 +144,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_checkpoint_is_3(self, kind, tmp_path, capsys):
         path = tmp_path / "bad.bin"
-        path.write_bytes(MALFORMED[kind])
+        raw, names = MALFORMED[kind]
+        path.write_bytes(raw)
         code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
         assert code == 3
-        assert err.startswith("error:")
+        assert err.startswith("error:") and names in err
 
     def test_truncated_wav_in_dataset_is_3(self, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -158,6 +160,24 @@ class TestExitCodes:
                             "--out-dir", str(tmp_path / "run"), *TINY], capsys)
         assert code == 3
         assert err.startswith("error:") and wav.name in err
+
+    @pytest.mark.parametrize("fault", ["one_sample_cycle", "rate_above_max"])
+    def test_malformed_dataset_is_3(self, fault, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        wav = sorted(ds.glob("*.wav"))[0]
+        if fault == "one_sample_cycle":  # 1 sample at 44.1 kHz resamples to none at 16 kHz
+            write_wav(str(wav), np.zeros(44100), 44100)
+            wav.with_suffix(".txt").write_text("0.5\t0.50002\t0\t0\n")
+        else:
+            write_wav(str(wav), np.zeros(100), MAX_SAMPLE_RATE + 1)
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 3
+        assert err.startswith("error:") and wav.name in err
+        if fault == "one_sample_cycle":
+            assert "cycle 0" in err
 
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -240,6 +260,7 @@ class TestReportCommand:
         "metric_not_finite": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": NaN'),
         "not_utf8": HEADER + EPOCH + b"\xff\n",
         "nested_too_deep": HEADER + EPOCH + b"[" * 100_000 + b"\n",
+        "flag_not_boolean": b'{"type": "header", "config": {"no_aff": "false"}}\n' + EPOCH,
     }
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_LOGS))

@@ -19,7 +19,7 @@ from respden.datasets import (
     write_synth,
 )
 from respden.errors import DatasetError, MissingAudioError
-from respden.wavio import read_wav, write_wav
+from respden.wavio import MAX_SAMPLE_RATE, read_wav, write_wav
 
 from oracles import dft_peak_hz
 
@@ -93,6 +93,14 @@ class TestAnnotationGrammar:
         write_fixture(tmp_path, "101_2b2_Pr", rng.uniform(-0.5, 0.5, 8000), 4000,
                       ["0.0\t1.0\t0\t1"], split="test")
         with pytest.raises(DatasetError, match="both splits"):
+            load_dataset(str(tmp_path), split)
+
+    def test_cycle_resampling_to_nothing_rejected(self, tmp_path):
+        # round(0.5 * 44100) = 22050, round(0.50002 * 44100) = 22051: one sample,
+        # and round(16000 / 44100) = 0
+        split = write_fixture(tmp_path, "101_1b1_Al", np.zeros(44100), 44100,
+                              ["0.0\t0.5\t0\t0", "0.5\t0.50002\t0\t0"])
+        with pytest.raises(DatasetError, match=r"101_1b1_Al\.txt: cycle 1 of .*101_1b1_Al\.wav"):
             load_dataset(str(tmp_path), split)
 
     def test_manifest_invariant_direct(self):
@@ -227,6 +235,18 @@ class TestWavRoundtrip:
     def test_missing_file(self):
         with pytest.raises(MissingAudioError):
             read_wav("/nonexistent/file.wav")
+
+    @pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE + 1, 2**31 - 1])
+    def test_rate_above_max_rejected(self, rate, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(str(path), np.zeros(10), rate)
+        with pytest.raises(DatasetError, match=f"sample rate {rate} Hz"):
+            read_wav(str(path))
+
+    def test_max_rate_accepted(self, tmp_path):
+        path = tmp_path / "max.wav"
+        write_wav(str(path), np.zeros(10), MAX_SAMPLE_RATE)
+        assert read_wav(str(path))[1] == MAX_SAMPLE_RATE
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.wav"

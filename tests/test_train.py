@@ -1,8 +1,6 @@
 """Model assembly and the training loop: determinism, ablations, logging."""
 
 import json
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -169,16 +167,8 @@ print(json.dumps([repr(result.history[-1].train_loss), digest.hexdigest()]))
 
 
 class TestThreadInvariance:
-    def run_with_threads(self, threads: int) -> list:
-        src = os.path.dirname(os.path.dirname(os.path.abspath(train_mod.__file__)))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads),
-               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
-        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        return json.loads(done.stdout.strip().splitlines()[-1])
-
-    def test_same_seed_same_bits_at_one_and_two_blas_threads(self):
-        one, two = self.run_with_threads(1), self.run_with_threads(2)
+    def test_same_seed_same_bits_at_one_and_two_blas_threads(self, run_with_blas_threads):
+        one, two = (run_with_blas_threads(_TRAIN_AND_HASH, t) for t in (1, 2))
         assert one == two
 
 
