@@ -154,11 +154,16 @@ class _Polyphase:
         n_groups, width, _ = self.taps.shape
         stride = self.repeats * self.advance
         rows = -(-n_out // (self.repeats * n_groups * _GROUP))
+        # a clip shorter than one base period needs only its first groups
+        n_groups = min(n_groups, -(-n_out // _GROUP))
         padded = np.zeros(max(self.lead + x.size, self.reach + (rows - 1) * stride))
         padded[self.lead : self.lead + x.size] = x
         out = np.empty((rows, self.repeats, n_groups, _GROUP))
         step = padded.strides[0]
         for first, end, start in self.runs:
+            if first >= n_groups:
+                break
+            end = min(end, n_groups)
             windows = np.lib.stride_tricks.as_strided(
                 padded[start:], shape=(self.repeats, end - first, rows, width),
                 strides=(self.advance * step, self.slope * step, stride * step, step),

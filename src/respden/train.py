@@ -22,7 +22,7 @@ from .errors import NumericError, TrainingError, UndefinedMetricError
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
 from .model import Model, seed_stream
 from .optim import AdamState, adam_step
-from .tensor import Tensor, mul
+from .tensor import mul
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,12 +127,15 @@ def _stratified_order(data: PreparedData, rng: np.random.Generator) -> list[int]
     return order
 
 
-def _batch_loss(model: Model, data: PreparedData, batch: list[int]) -> Tensor:
-    total = None
+def _batch_loss(model: Model, data: PreparedData, batch: list[int]) -> float:
+    """Backward of the batch-mean loss, one sample graph at a time (the bits of
+    mul(1/B, l0 + ... + l_{B-1}).backward()); returns the batch-mean loss."""
+    scale, total = 1.0 / len(batch), 0.0
     for i in batch:
         loss = model.sample_loss(data.features[i], data.labels[i])
-        total = loss if total is None else total + loss
-    return mul(1.0 / len(batch), total) if len(batch) > 1 else total
+        total += loss.item()
+        mul(scale, loss).backward()
+    return scale * total
 
 
 def header_line(cfg: RunConfig) -> str:
@@ -165,9 +168,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list |
             batch = order[lo : lo + cfg.batch]
             model.zero_grads()
             try:
-                loss = _batch_loss(model, data, batch)
-                value = loss.item()
-                loss.backward()
+                value = _batch_loss(model, data, batch)
                 trainable = model.trainable()
                 adam_step(trainable, {n: p.grad for n, p in trainable.items()}, adam,
                           lr=cfg.lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,

@@ -7,6 +7,8 @@ that the two fused sublayer nodes replaced, built from the library's
 unfused primitives, so that the fused forward can be required to be
 bit-identical to it. The resampling oracle is scipy's `resample_poly`,
 whose per-sample `upfirdn` loop the library's polyphase GEMMs replaced.
+The summed-batch loss is the one-graph training step that the streamed
+per-sample backward replaced.
 """
 
 from __future__ import annotations
@@ -311,3 +313,13 @@ def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_ff
         for j in np.flatnonzero(bank[i]):
             mel[:, i] = mel[:, i] + bank[i, j] * power[:, j]
     return np.log(mel + log_floor)
+
+
+def summed_batch_loss(model, data, batch: list[int]) -> Tensor:
+    """The batch-mean loss as one graph, mul(1/B, l0 + ... + l_{B-1}), whose
+    backward holds every sample's graph until it runs."""
+    total = None
+    for i in batch:
+        loss = model.sample_loss(data.features[i], data.labels[i])
+        total = loss if total is None else total + loss
+    return mul(1.0 / len(batch), total) if len(batch) > 1 else total

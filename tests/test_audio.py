@@ -123,6 +123,21 @@ class TestResample:
         resample(make_clip(np.ones(n), rate=rate))
         assert views
 
+    def test_short_clip_computes_only_the_groups_it_needs(self, monkeypatch):
+        # at 44101 Hz one GEMM row is 16000 outputs; a 7-sample clip needs 3
+        design = audio._polyphase(16000, 44101)
+        assert design.repeats * design.taps.shape[0] * 16 == 16000
+        real = np.matmul
+        computed = []
+
+        def counted(a, b, **kwargs):
+            computed.append(kwargs["out"].size)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        n_out = resample(make_clip(np.ones(7), rate=44101)).samples.size
+        assert computed and sum(computed) <= 16 * design.repeats * -(-n_out // 16)
+
     def test_same_bits_at_one_and_two_blas_threads(self, run_with_blas_threads):
         one, two = (run_with_blas_threads(_RESAMPLE_AND_HASH, t) for t in (1, 2))
         assert one == two

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from respden.datasets import SynthConfig, build_synth
 from respden.errors import ShapeError, TrainingError, UndefinedMetricError
 from respden.model import Model, seed_stream
 from respden.tensor import Tensor
-from respden.train import evaluate_indices, evaluate_split, prepare_data, train
+from respden.train import _batch_loss, evaluate_indices, evaluate_split, prepare_data, train
+
+from oracles import summed_batch_loss
 
 
 def tiny_cfg(**kw):
@@ -149,6 +152,74 @@ class TestTraining:
         for name, p in result.model.params.items():
             np.testing.assert_array_equal(p.data, fresh.params[name].data)
         assert result.history == []
+
+
+def random_heads_model(cfg):
+    """A seeded model whose heads are not zero, so every parameter gets a gradient."""
+    model = Model(cfg, rng=seed_stream(cfg.seed, "init"))
+    rng = np.random.default_rng(11)
+    for name in ("head.phi.w", "head.cls.w"):
+        model.params[name].data[...] = rng.standard_normal(model.params[name].shape) * 0.01
+    return model
+
+
+def summed_step(model, data, batch):
+    """One step through the summed-batch oracle: its loss value, backward done."""
+    loss = summed_batch_loss(model, data, batch)
+    loss.backward()
+    return loss.item()
+
+
+class TestStreamedBatch:
+    """Each sample's graph is backpropagated before the next forward; the
+    step loss and every gradient keep the bits of the one summed graph."""
+
+    @pytest.mark.parametrize("variant", [{}, {"no_ddl": True}, {"no_aff": True}],
+                             ids=["full", "no_ddl", "no_aff"])
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_step_is_bit_equal_to_summed_graph(self, tiny_data, size, variant):
+        model = random_heads_model(tiny_cfg(**variant))
+        batch = tiny_data.train_idx[:size]
+        assert len(batch) == size
+        model.zero_grads()
+        got = _batch_loss(model, tiny_data, batch)
+        got_grads = {n: p.grad.copy() for n, p in model.trainable().items()}
+        model.zero_grads()
+        want = summed_step(model, tiny_data, batch)
+        assert got == want
+        for name, p in model.trainable().items():
+            assert np.array_equal(got_grads[name], p.grad), name
+        # every gradient the variant does not bypass is nonzero
+        assert all(np.any(g) for name, g in got_grads.items()
+                   if not (variant.get("no_aff") and name.startswith("aff.")))
+        assert ("block0.lam" in got_grads) is not variant.get("no_ddl", False)
+
+    def test_training_run_is_bit_equal_to_summed_graph(self, monkeypatch):
+        # 8 training clips in batches of 3: the last batch of each epoch is ragged
+        cfg = tiny_cfg(batch=3, epochs=2)
+        streamed = train(cfg)
+        monkeypatch.setattr(train_mod, "_batch_loss", summed_step)
+        summed = train(cfg)
+        assert len(streamed.step_losses) == 6
+        assert streamed.step_losses == summed.step_losses
+        for name, p in streamed.model.params.items():
+            assert p.data.tobytes() == summed.model.params[name].data.tobytes(), name
+
+    def test_step_memory_does_not_grow_with_batch_size(self, tiny_data):
+        model = Model(tiny_cfg(dim=16))  # 1 layer, mask_hidden 4
+        _batch_loss(model, tiny_data, tiny_data.train_idx[:1])  # fill any lazy caches
+
+        def peak(batch):
+            model.zero_grads()
+            tracemalloc.start()
+            try:
+                _batch_loss(model, tiny_data, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(tiny_data.train_idx[:1]), peak(tiny_data.train_idx[:8])
+        assert eight <= 1.25 * one, (one, eight)
 
 
 #: trains the default model in a fresh interpreter and prints the last
