@@ -5,19 +5,21 @@ Run:  python demos/01_tensor_autodiff.py
 
 import numpy as np
 
-from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum
+from respden.tensor import Tensor, layer_norm, matmul, mul, total_sum
 
 rng = np.random.default_rng(0)
 
-# A tiny computation: z = sum(softmax(x @ w) * targets)
+# A tiny computation: z = sum(targets * (x @ w)^2)
 x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
 w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 targets = Tensor(rng.random((2, 4)))
 
-z = total_sum(mul(targets, softmax(matmul(x, w), axis=1)))
+h = matmul(x, w)
+z = total_sum(mul(targets, mul(h, h)))
 z.backward()
 print("z =", z.item())
 print("dz/dx:\n", x.grad)
+print("matches 2 (targets * h) @ w^T:", np.allclose(x.grad, 2 * (targets.data * h.data) @ w.data.T))
 
 # Gradients accumulate additively when a tensor is used twice.
 a = Tensor(np.array([1.0, 2.0]), requires_grad=True)

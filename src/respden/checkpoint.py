@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, validate_config
+from .config import RunConfig, check_value_types, validate_config
 from .errors import (
     BadMagicError, CheckpointError, ShapeError, TruncatedError, UsageError, VersionError,
 )
@@ -56,7 +56,7 @@ class Checkpoint:
     def run_config(self) -> RunConfig:
         """The stored config, validated; a stored config that is not valid is a corrupt file."""
         try:
-            return validate_config(RunConfig(**self.config))
+            return validate_config(RunConfig(**check_value_types(self.config)))
         except (TypeError, UsageError) as exc:
             raise CheckpointError(f"checkpoint holds an invalid config: {exc}") from exc
 

@@ -18,7 +18,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import RunConfig, parse_config, validate_config
-from .datasets import SynthConfig, build_synth, write_synth
+from .datasets import write_synth
 from .errors import (
     CheckpointError,
     DatasetError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gradcheck import run_gradcheck
 from .report import ablation_report, format_triple
-from .train import evaluate_split, prepare_data, train
+from .train import evaluate_split, prepare_data, synth_dataset, train
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -106,12 +106,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    synth_cfg = SynthConfig(
-        train_per_class=cfg.train_per_class, test_per_class=cfg.test_per_class,
-        train_subjects=cfg.train_subjects, test_subjects=cfg.test_subjects,
-        snr_db=(cfg.snr_lo, cfg.snr_hi),
-    )
-    manifest, clips = build_synth(synth_cfg, cfg.seed)
+    manifest, clips = synth_dataset(cfg)
     split_path = write_synth(manifest, clips, cfg.out_dir)
     print(f"wrote {len(clips)} clips to {cfg.out_dir} (split file: {split_path})")
     return EXIT_OK

@@ -79,6 +79,22 @@ def _coerce(key: str, value: str):
         raise UsageError(f"config key '{key}': {exc}") from exc
 
 
+_VALUE_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def check_value_types(values: dict) -> dict:
+    """`values`, if each value of a known field has that field's type (an int
+    may stand for a float); else `UsageError` naming the key."""
+    for key, value in values.items():
+        if key not in _FIELDS:
+            continue
+        ftype = _FIELDS[key].type
+        # bool is an int subclass: only a bool field takes one
+        if isinstance(value, bool) != (ftype == "bool") or not isinstance(value, _VALUE_TYPES[ftype]):
+            raise UsageError(f"config key '{key}' must be of type {ftype}, got {value!r}")
+    return values
+
+
 def parse_config_file(path: str) -> dict:
     values = {}
     try:

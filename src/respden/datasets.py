@@ -148,8 +148,6 @@ class SynthConfig:
     train_subjects: int = 6
     test_subjects: int = 4
     snr_db: tuple[float, float] = (5.0, 20.0)
-    sample_rate: int = TARGET_RATE
-    seconds: float = TARGET_SECONDS
 
     def validate(self) -> None:
         if self.train_per_class <= 0:
@@ -197,15 +195,16 @@ def _crackle_bursts(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     return out
 
 
-def synth_clip(rng: np.random.Generator, label: Label, snr_db: tuple[float, float],
-               sr: int = TARGET_RATE, seconds: float = TARGET_SECONDS) -> np.ndarray:
-    """One synthetic cycle: class recipe plus white noise at a drawn SNR.
+def synth_clip(rng: np.random.Generator, label: Label, snr_db: tuple[float, float]) -> np.ndarray:
+    """One synthetic cycle at the target rate and length: class recipe plus
+    white noise at a drawn SNR.
 
     The SNR is referenced to the breath-noise floor (the component every
     class shares), so the class overlays keep a fixed salience relative
     to the added noise across the whole SNR range.
     """
-    n = int(round(sr * seconds))
+    sr = TARGET_RATE
+    n = int(round(sr * TARGET_SECONDS))
     base = _band_noise(rng, n, sr)
     clean = base
     if label in (Label.WHEEZE, Label.BOTH):
@@ -235,8 +234,8 @@ def build_synth(cfg: SynthConfig, seed: int) -> tuple[DatasetManifest, list[Audi
         for label in Label:
             for _ in range(per_class):
                 subject = subjects[counter % len(subjects)]
-                samples = synth_clip(rng, label, cfg.snr_db, cfg.sample_rate, cfg.seconds)
-                clips.append(AudioClip(samples, cfg.sample_rate, label, subject))
+                samples = synth_clip(rng, label, cfg.snr_db)
+                clips.append(AudioClip(samples, TARGET_RATE, label, subject))
                 manifest.entries.append(
                     ManifestEntry(f"{subject}_c{counter:04d}_{split}", label, subject, split)
                 )

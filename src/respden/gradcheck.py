@@ -20,19 +20,9 @@ import numpy as np
 from .attention import BlockParams, MhdaParams, denoise_block, mhda, swish_glu
 from .config import RunConfig, validate_config
 from .freq_filter import FilterParams, filter_forward
-from .losses import HeadParams, bias_denoise_loss, ce_loss
+from .losses import HeadParams, total_loss
 from .model import Model, seed_stream
-from .tensor import (
-    Tensor,
-    layer_norm,
-    log_softmax,
-    matmul,
-    mul,
-    no_grad,
-    soft_shrink,
-    softmax,
-    total_sum,
-)
+from .tensor import Tensor, layer_norm, matmul, mul, no_grad, soft_shrink, total_sum
 
 FD_STEP = 1e-3
 OP_TOL = 1e-4
@@ -116,10 +106,10 @@ def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
 def per_op_suite(seed: int = 0) -> list[CheckRow]:
     """Finite-difference checks for every differentiable operation.
 
-    Primitive ops are held to 1e-4; composite chains (attention, block,
-    frequency filter, smoothed loss) to 1e-3. Probe points are chosen so
-    no rectifier or shrink kink lies within the finite-difference step;
-    kink-side subgradient conventions are pinned by exact unit tests
+    Primitive ops and the heads + hybrid loss are held to 1e-4; composite
+    chains (attention, block, frequency filter) to 1e-3. Probe points are
+    chosen so no rectifier or shrink kink lies within the finite-difference
+    step; kink-side subgradient conventions are pinned by exact unit tests
     instead, where finite differences are meaningless.
     """
     rows: list[CheckRow] = []
@@ -134,11 +124,6 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     check("matmul", lambda: _weighted_sum(matmul(a, b), np.random.default_rng(7)), {"A": a, "B": b})
-
-    x_sm = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    check("softmax", lambda: _weighted_sum(softmax(x_sm, axis=1), np.random.default_rng(8)), {"x": x_sm})
-    check("log_softmax", lambda: _weighted_sum(log_softmax(x_sm, axis=1), np.random.default_rng(9)),
-          {"x": x_sm})
 
     x_ln = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
     g_ln = Tensor(rng.standard_normal(5), requires_grad=True)
@@ -220,20 +205,21 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
           lambda: _weighted_sum(filter_forward(x_odd, fp), np.random.default_rng(17)),
           {"x": x_odd, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, tol=MODEL_TOL)
 
-    # losses
-    logits = Tensor(rng.standard_normal(4), requires_grad=True)
-    check("ce_loss", lambda: ce_loss(logits, 2), {"logits": logits})
-
+    # both heads and the hybrid loss; beta = 0 leaves the plain cross-entropy
     p_feat = Tensor(rng.standard_normal((5, d_model)), requires_grad=True)
     head = HeadParams(
-        Tensor(np.ones(d_model), requires_grad=True), Tensor(np.zeros(d_model), requires_grad=True),
-        Tensor(rng.standard_normal((d_model, 4)), requires_grad=True),
-        Tensor(np.zeros(4), requires_grad=True),
-        Tensor(rng.standard_normal((d_model, 4)), requires_grad=True),
-        Tensor(np.zeros(4), requires_grad=True),
+        Tensor(1.0 + 0.3 * rng.standard_normal(d_model), requires_grad=True),
+        Tensor(0.3 * rng.standard_normal(d_model), requires_grad=True),
+        Tensor(0.05 * rng.standard_normal((d_model, 4)), requires_grad=True),
+        Tensor(0.05 * rng.standard_normal(4), requires_grad=True),
+        Tensor(0.05 * rng.standard_normal((d_model, 4)), requires_grad=True),
+        Tensor(0.05 * rng.standard_normal(4), requires_grad=True),
     )
-    check("bias_denoise", lambda: bias_denoise_loss(p_feat, 1, head, 0.2),
-          {"p": p_feat, "norm.g": head.norm_g, "phi.w": head.phi_w}, tol=MODEL_TOL)
+    check("total_loss.ce", lambda: total_loss(p_feat, 2, 0.0, 0.2, head),
+          {"p": p_feat, "cls.w": head.cls_w, "cls.b": head.cls_b})
+    check("total_loss", lambda: total_loss(p_feat, 1, 0.5, 0.2, head),
+          {"p": p_feat, "norm.g": head.norm_g, "norm.b": head.norm_b, "phi.w": head.phi_w,
+           "phi.b": head.phi_b, "cls.w": head.cls_w, "cls.b": head.cls_b})
     return rows
 
 

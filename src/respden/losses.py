@@ -4,6 +4,11 @@ Two affine heads share the pooled backbone features: a plain
 cross-entropy head used for prediction, and a label-smoothed head behind
 a layer norm whose loss regularizes the denoising path. The total loss is
 their convex combination, weighted by `beta`.
+
+The heads and the loss are one tape node with a hand-derived backward:
+each head's logit gradient is its softmax minus its target, the
+smoothed head pulls back through the layer norm, and the pooled-feature
+gradient is spread evenly over the tokens.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, layer_norm, log_softmax, matmul, mean, mul, neg, reshape, total_sum
+from .tensor import Tensor, _ln_backward, _ln_forward
 
 N_CLASSES = 4
 #: fixed output gain on both heads. Head weights start at zero and move by
@@ -50,43 +55,46 @@ def smoothed_target(label: int, epsilon: float, n_classes: int = N_CLASSES) -> n
 
 
 def pooled_features(p: Tensor) -> Tensor:
-    """Mean over tokens as a 1 x D row."""
-    return reshape(mean(p, axis=0), (1, p.shape[1]))
+    """Mean over tokens as a 1 x D row, off the tape."""
+    return Tensor(p.data.mean(axis=0, keepdims=True))
 
 
-def cls_logits(p: Tensor, head: HeadParams) -> Tensor:
-    """Prediction-head logits on pooled features, as a length-C tensor."""
-    out = add(matmul(pooled_features(p), head.cls_w), head.cls_b)
-    return reshape(mul(HEAD_GAIN, out), (N_CLASSES,))
+def _head(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    return HEAD_GAIN * (x @ w.data + b.data)
 
 
-def ce_loss(logits: Tensor, label: int) -> Tensor:
-    """Unsmoothed softmax cross-entropy."""
-    label = _check_label(label)
-    ls = log_softmax(reshape(logits, (1, N_CLASSES)), axis=-1)
-    onehot = np.zeros((1, N_CLASSES))
-    onehot[0, label] = 1.0
-    return neg(total_sum(mul(Tensor(onehot), ls)))
+def cls_logits(p: Tensor, head: HeadParams) -> np.ndarray:
+    """Prediction-head logits on pooled features, as a length-C array (forward only)."""
+    return _head(pooled_features(p).data, head.cls_w, head.cls_b)[0]
 
 
-def bias_denoise_loss(p: Tensor, label: int, head: HeadParams, epsilon: float) -> Tensor:
-    """Smoothed cross-entropy on the pooled features, layer-normed and projected."""
-    label = _check_label(label)
-    normed = layer_norm(pooled_features(p), head.norm_g, head.norm_b)
-    logits = add(matmul(normed, head.phi_w), head.phi_b)
-    target = smoothed_target(label, epsilon).reshape(1, N_CLASSES)
-    return neg(total_sum(mul(Tensor(target), log_softmax(mul(HEAD_GAIN, logits), axis=-1))))
+def total_loss(p: Tensor, label: int, beta: float, epsilon: float, head: HeadParams) -> Tensor:
+    """beta * bias_denoise + (1 - beta) * cross_entropy, as one tape node.
 
-
-def total_loss(p: Tensor, logits: Tensor, label: int, beta: float, epsilon: float,
-               head: HeadParams) -> Tensor:
-    """beta * bias_denoise + (1 - beta) * cross_entropy."""
+    Row 0 is the prediction head against the one-hot label, row 1 the
+    layer-normed head against the smoothed target.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    ce = ce_loss(logits, label)
-    if beta == 0.0:
-        return ce
-    bd = bias_denoise_loss(p, label, head, epsilon)
-    if beta == 1.0:
-        return bd
-    return add(mul(beta, bd), mul(1.0 - beta, ce))
+    target = np.stack((smoothed_target(label, 0.0), smoothed_target(label, epsilon)))
+    pooled = p.data.mean(axis=0, keepdims=True)
+    normed, xhat, inv = _ln_forward(pooled, head.norm_g.data, head.norm_b.data)
+    logits = np.concatenate((_head(pooled, head.cls_w, head.cls_b),
+                             _head(normed, head.phi_w, head.phi_b)))
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    ce, bd = -(target * (z - lse)).sum(axis=1)
+    weight = np.array([[1.0 - beta], [beta]])
+
+    def backward(g):
+        d_logits = (g * HEAD_GAIN) * weight * (np.exp(z - lse) - target)
+        d_cls, d_phi = d_logits[:1], d_logits[1:]
+        d_normed, d_norm_g, d_norm_b = _ln_backward(d_phi @ head.phi_w.data.T, head.norm_g.data,
+                                                    xhat, inv)
+        d_pooled = d_cls @ head.cls_w.data.T + d_normed
+        return (np.broadcast_to(d_pooled / p.shape[0], p.shape), d_norm_g, d_norm_b,
+                normed.T @ d_phi, d_phi[0], pooled.T @ d_cls, d_cls[0])
+
+    return Tensor._from_op(np.asarray(beta * bd + (1.0 - beta) * ce), (
+        p, head.norm_g, head.norm_b, head.phi_w, head.phi_b, head.cls_w, head.cls_b),
+        backward, "total_loss")

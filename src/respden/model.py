@@ -183,14 +183,12 @@ class Model:
         return backbone_forward(x, self.backbone_params())
 
     def sample_loss(self, spec, label: int) -> Tensor:
-        p = self.features(spec)
-        logits = cls_logits(p, self.head_params())
         beta = 0.0 if self.cfg.no_bias_loss else self.cfg.beta
-        return total_loss(p, logits, label, beta, self.cfg.epsilon, self.head_params())
+        return total_loss(self.features(spec), label, beta, self.cfg.epsilon, self.head_params())
 
     def logits(self, spec) -> np.ndarray:
         with no_grad():
-            return cls_logits(self.features(spec), self.head_params()).data.copy()
+            return cls_logits(self.features(spec), self.head_params())
 
     def predict(self, spec) -> int:
         """Argmax over prediction-head logits; ties go to the lower class index."""

@@ -109,19 +109,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
@@ -205,16 +196,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), backward, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor._from_op(out, (a, b), backward, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data * b.data
@@ -224,13 +205,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return Tensor._from_op(out, (a, b), backward, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        return (-g,)
-
-    return Tensor._from_op(-a.data, (a,), backward, "neg")
 
 
 def soft_shrink(a: Tensor, alpha: float) -> Tensor:
@@ -247,18 +221,6 @@ def soft_shrink(a: Tensor, alpha: float) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "soft_shrink")
 
 
-# -- shape manipulation -------------------------------------------------------
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return Tensor._from_op(out, (a,), backward, "reshape")
-
-
 # -- reductions ----------------------------------------------------------------
 
 
@@ -269,25 +231,6 @@ def total_sum(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, a.shape).astype(np.float64),)
 
     return Tensor._from_op(out, (a,), backward, "sum")
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = np.asarray(a.data.mean())
-        n = a.data.size
-
-        def backward(g):
-            return (np.broadcast_to(g / n, a.shape).astype(np.float64),)
-
-        return Tensor._from_op(out, (a,), backward, "mean")
-
-    out = a.data.mean(axis=axis)
-    n = a.data.shape[axis]
-
-    def backward_axis(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return Tensor._from_op(out, (a,), backward_axis, "mean")
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -307,35 +250,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- fused neural-net primitives -------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax along `axis`, computed with max subtraction."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._from_op(out, (a,), backward, "softmax")
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"log_softmax axis {axis} invalid for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-    sm = np.exp(out)
-
-    def backward(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._from_op(out, (a,), backward, "log_softmax")
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -63,16 +63,18 @@ class TrainResult:
     log_lines: list[str] = field(default_factory=list)
 
 
+def synth_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
+    """The in-memory synthetic corpus that the config's synth fields describe."""
+    return build_synth(SynthConfig(
+        train_per_class=cfg.train_per_class, test_per_class=cfg.test_per_class,
+        train_subjects=cfg.train_subjects, test_subjects=cfg.test_subjects,
+        snr_db=(cfg.snr_lo, cfg.snr_hi),
+    ), cfg.seed)
+
+
 def resolve_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
     if cfg.dataset == "synth":
-        synth_cfg = SynthConfig(
-            train_per_class=cfg.train_per_class,
-            test_per_class=cfg.test_per_class,
-            train_subjects=cfg.train_subjects,
-            test_subjects=cfg.test_subjects,
-            snr_db=(cfg.snr_lo, cfg.snr_hi),
-        )
-        return build_synth(synth_cfg, cfg.seed)
+        return synth_dataset(cfg)
     split_file = cfg.split_file or os.path.join(cfg.dataset, "split.txt")
     return load_dataset(cfg.dataset, split_file)
 

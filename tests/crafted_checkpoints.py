@@ -43,4 +43,8 @@ MALFORMED = {
     "unknown_config_key": (container(header({"warp_speed": 9})), "warp_speed"),
     # a key of a run-config field that no longer exists
     "retired_config_key": (container(header({"aff_residual": False})), "aff_residual"),
+    # config values whose JSON type does not match the field's type
+    "float_for_int_key": (container(header({"heads": 2.0})), "heads"),
+    "int_for_str_key": (container(header({"dataset": 5})), "dataset"),
+    "str_for_bool_key": (container(header({"no_aff": "yes"})), "no_aff"),
 }

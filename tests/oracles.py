@@ -8,7 +8,8 @@ unfused primitives, so that the fused forward can be required to be
 bit-identical to it. The resampling oracle is scipy's `resample_poly`,
 whose per-sample `upfirdn` loop the library's polyphase GEMMs replaced.
 The summed-batch loss is the one-graph training step that the streamed
-per-sample backward replaced.
+per-sample backward replaced. The direct hybrid loss is the value oracle
+for the fused heads + loss node.
 """
 
 from __future__ import annotations
@@ -323,3 +324,30 @@ def summed_batch_loss(model, data, batch: list[int]) -> Tensor:
         loss = model.sample_loss(data.features[i], data.labels[i])
         total = loss if total is None else total + loss
     return mul(1.0 / len(batch), total) if len(batch) > 1 else total
+
+
+def hybrid_loss_direct(p: np.ndarray, label: int, beta: float, epsilon: float, norm_g, norm_b,
+                       phi_w, phi_b, cls_w, cls_b, gain: float = 48.0,
+                       ln_eps: float = 1e-5) -> float:
+    """beta * smoothed CE of the layer-normed head + (1 - beta) * CE of the plain
+    head on the token-mean features, with explicit loops over tokens, features
+    and classes."""
+    n, d = p.shape
+    c = len(cls_b)
+    pooled = [sum(p[t, j] for t in range(n)) / n for j in range(d)]
+    mu = sum(pooled) / d
+    var = sum((x - mu) ** 2 for x in pooled) / d
+    normed = [(pooled[j] - mu) / math.sqrt(var + ln_eps) * norm_g[j] + norm_b[j]
+              for j in range(d)]
+
+    def head(x, w, b):
+        return [gain * (sum(x[j] * w[j, k] for j in range(d)) + b[k]) for k in range(c)]
+
+    def smoothed_ce(z, eps):
+        top = max(z)
+        lse = top + math.log(sum(math.exp(v - top) for v in z))
+        return -sum(((1.0 - eps) * (k == label) + eps / c) * (z[k] - lse) for k in range(c))
+
+    ce = smoothed_ce(head(pooled, cls_w, cls_b), 0.0)
+    bd = smoothed_ce(head(normed, phi_w, phi_b), epsilon)
+    return beta * bd + (1.0 - beta) * ce

@@ -24,7 +24,7 @@ from respden.errors import NumericError, ShapeError
 from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model, seed_stream
-from respden.tensor import Tensor, layer_norm, matmul, mul, softmax, total_sum
+from respden.tensor import Tensor, layer_norm, matmul, mul, total_sum
 
 from oracles import (
     attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct, softmax_rows,
@@ -399,13 +399,23 @@ class TestTapeBudget:
         filter_forward(Tensor(rng.standard_normal((6, 8)), requires_grad=True), params)
         assert node_counts == {"filter_forward": 1}
 
-    def test_default_model_predict_is_20_nodes(self, node_counts):
+    # at the default config: filter 1, patch embedding 4 (patchify, matmul,
+    # two adds), 2 per block, final layer norm 1; the heads and the hybrid
+    # loss are 1 more for a training sample and none for a prediction
+    def test_default_model_predict_is_14_nodes(self, node_counts):
         cfg = validate_config(RunConfig())
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.predict(np.random.default_rng(61).standard_normal((249, 64)))
-        assert sum(node_counts.values()) == 20, dict(node_counts)
+        assert sum(node_counts.values()) == 14, dict(node_counts)
         assert node_counts["filter_forward"] == 1
         assert node_counts["mhda"] == node_counts["swish_glu"] == cfg.layers
+
+    def test_default_model_sample_loss_is_15_nodes(self, node_counts):
+        cfg = validate_config(RunConfig())
+        model = Model(cfg, rng=seed_stream(0, "init"))
+        model.sample_loss(np.random.default_rng(61).standard_normal((249, 64)), 2)
+        assert sum(node_counts.values()) == 15, dict(node_counts)
+        assert node_counts["total_loss"] == 1
 
 
 def make_backbone(rng, d, heads, layers, std=0.05):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from respden.config import RunConfig, parse_config, parse_config_file
+from respden.config import RunConfig, check_value_types, parse_config, parse_config_file
 from respden.errors import UsageError
 
 
@@ -100,3 +100,16 @@ class TestSnapshot:
         cfg = parse_config({"epochs": 3, "no_ddl": True})
         again = RunConfig(**cfg.snapshot())
         assert again == cfg
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("values", [{"lr": 1}, {"lr": 1e-3}, {"heads": 3},
+                                        {"no_aff": False}, {"dataset": "synth"}])
+    def test_matching_types_accepted(self, values):
+        assert check_value_types(values) is values
+
+    @pytest.mark.parametrize("key, value", [("heads", 2.0), ("heads", True), ("lr", True),
+                                            ("no_aff", 1), ("no_aff", "yes"), ("dataset", 5)])
+    def test_mismatched_type_names_the_key(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            check_value_types({key: value})

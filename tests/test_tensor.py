@@ -5,17 +5,7 @@ import pytest
 
 from respden.errors import NumericError, ShapeError
 from respden.gradcheck import check_loss_gradients
-from respden.tensor import (
-    Tensor,
-    layer_norm,
-    matmul,
-    mean,
-    mul,
-    no_grad,
-    soft_shrink,
-    softmax,
-    total_sum,
-)
+from respden.tensor import Tensor, layer_norm, matmul, mul, no_grad, soft_shrink, total_sum
 
 from oracles import naive_matmul
 
@@ -48,33 +38,6 @@ class TestMatmul:
         total_sum(mul(Tensor(w), matmul(a, b))).backward()
         np.testing.assert_allclose(a.grad, w @ b.data.T, atol=1e-12)
         np.testing.assert_allclose(b.grad, a.data.T @ w, atol=1e-12)
-
-
-class TestSoftmax:
-    def test_uniform(self):
-        np.testing.assert_allclose(softmax(Tensor([0.0, 0.0, 0.0]), axis=0).data, [1 / 3] * 3)
-
-    def test_analytic_two_point(self):
-        out = softmax(Tensor([0.0, np.log(3.0)]), axis=0)
-        np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((4, 6))
-        base = softmax(Tensor(x), axis=1).data
-        shifted = softmax(Tensor(x + 13.7), axis=1).data
-        np.testing.assert_allclose(shifted, base, atol=1e-12)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            out = softmax(Tensor(rng.standard_normal((5, 7)) * 10), axis=1).data
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-            assert (out > 0).all() and (out < 1).all()
-
-    def test_invalid_axis(self):
-        with pytest.raises(ShapeError):
-            softmax(Tensor(np.zeros((2, 2))), axis=5)
 
 
 class TestLayerNorm:
@@ -192,7 +155,8 @@ class TestFiniteGuard:
     def test_finite_inputs_produce_finite_outputs(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((3, 3)) * 50)
-        for out in (softmax(x, axis=1), soft_shrink(x, 0.1), mean(x)):
+        ln = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        for out in (matmul(x, x), mul(x, x), ln, soft_shrink(x, 0.1), total_sum(x)):
             assert np.isfinite(out.data).all()
 
 
@@ -215,10 +179,3 @@ class TestBroadcastAndModes:
         with no_grad():
             y = x + x
         assert not y.requires_grad and y._backward_fn is None
-
-    def test_mean_axis(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        out = mean(x, axis=0)
-        np.testing.assert_allclose(out.data, x.data.mean(axis=0))
-        total_sum(out).backward()
-        np.testing.assert_allclose(x.grad, np.full((3, 4), 1 / 3))
