@@ -17,8 +17,8 @@ ends in the shared layer-norm pullback plus the residual identity.
   the heads merged back to (N, H * d_v), times `wo`, plus the input. It
   keeps the normalized tokens, head arrays, softmax maps, a and the merged
   heads. q, k, v and the scores are checked for NaN/Inf as they are made.
-* `swish_glu` keeps n = LN(y), a = n @ w1, the branch-free sigmoid of a
-  and n @ w2.
+* `swish_glu` keeps n = LN(y), a = n @ w1, the branch-free sigmoid of a,
+  n @ w2, the gate swish(a) and the gated product.
 """
 
 from __future__ import annotations
@@ -94,12 +94,16 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     qh = q.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
     kh = k.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
     vh = v.reshape(n, h, dv).transpose(1, 0, 2)
-    s = scale * (qh @ kh.swapaxes(-1, -2))
-    _check_finite(s, "mhda attention scores")
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    m = e / e.sum(axis=-1, keepdims=True)
+    # the scores turn into both softmax maps in one buffer; the differential map takes a second
+    m = qh @ kh.swapaxes(-1, -2)
+    m *= scale
+    _check_finite(m, "mhda attention scores")
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
     lam_h = lam.data.reshape(-1, 1, 1)
-    a = m[:, 0] - lam_h * m[:, 1]
+    a = lam_h * m[:, 1]
+    np.subtract(m[:, 0], a, out=a)
     merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
     out = x.data + merged @ wo.data
 
@@ -111,9 +115,11 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
         # both maps pull back d_a; the second scaled by -lambda, applied
         # after the softmax pullback together with the score scale
         d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
-        dot = (d_a * m).sum(axis=-1, keepdims=True)
+        d_s = d_a * m
+        dot = d_s.sum(axis=-1, keepdims=True)
         d_lam = -dot[:, 1].sum(axis=(1, 2))
-        d_s = m * (d_a - dot)
+        np.subtract(d_a, dot, out=d_s)
+        d_s *= m
         d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
         d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
         d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
@@ -145,19 +151,30 @@ def swish_glu(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor, w3:
     n, nhat, inv = _ln_forward(y.data, ln_g.data, ln_b.data)
     a = n @ w1.data
     # stable in both tails: 1/(1+e^-a) for a >= 0, e^a/(1+e^a) below, one division
-    ez = np.exp(-np.abs(a))
-    s = np.where(a >= 0, 1.0, ez) / (1.0 + ez)
+    ez = np.abs(a)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    s = np.where(a >= 0, 1.0, ez)
+    ez += 1.0
+    s /= ez
     v = n @ w2.data
-    out = y.data + (a * s * v) @ w3.data
+    gate = a * s
+    h = gate * v
+    out = h @ w3.data
+    out += y.data  # the residual
 
     def backward(g):
-        gate = a * s
         d_h = g @ w3.data.T
-        d_a = d_h * v * s * (1.0 + a * (1.0 - s))
+        d_a = d_h * v
+        d_a *= s
+        t = 1.0 - s
+        t *= a
+        t += 1.0
+        d_a *= t
         d_v = d_h * gate
         d_y, d_g, d_b = _ln_backward(d_a @ w1.data.T + d_v @ w2.data.T, ln_g.data, nhat, inv)
         d_y += g  # the residual
-        return d_y, d_g, d_b, n.T @ d_a, n.T @ d_v, (gate * v).T @ g
+        return d_y, d_g, d_b, n.T @ d_a, n.T @ d_v, h.T @ g
 
     return Tensor._from_op(out, (y, ln_g, ln_b, w1, w2, w3), backward, "swish_glu")
 

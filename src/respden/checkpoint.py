@@ -159,11 +159,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             except ValueError as exc:  # too many dimensions, or a zero among huge extents
                 raise CheckpointError(f"checkpoint block '{name}' has an unusable shape: {exc}") from exc
             if name.startswith("adam.m:"):
-                adam_m[name[len("adam.m:"):]] = arr
+                table, key = adam_m, name[len("adam.m:"):]
             elif name.startswith("adam.v:"):
-                adam_v[name[len("adam.v:"):]] = arr
+                table, key = adam_v, name[len("adam.v:"):]
             else:
-                params[name] = arr
+                table, key = params, name
+            if key in table:
+                raise CheckpointError(f"checkpoint block '{name}' appears more than once")
+            table[key] = arr
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared blocks")
     config, epoch, adam_step = header.get("config", {}), header.get("epoch", 0), header.get("adam_step")

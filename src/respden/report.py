@@ -33,7 +33,7 @@ def variant_name(flags: dict) -> str:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return type(value) in (int, float) and math.isfinite(value)  # a JSON bool is an int subclass
 
 
 def read_metrics_log(path: str) -> tuple[dict, list[dict]]:

@@ -260,19 +260,20 @@ def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {width}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    # np.mean/np.var's own arithmetic (sum, then divide by the width), without their wrappers
+    xhat = x - x.sum(axis=-1, keepdims=True) / width
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / width + eps)
+    xhat *= inv
     return xhat * gamma + beta, xhat, inv
 
 
 def _ln_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
                  inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pullbacks (dx, dgamma, dbeta) of `_ln_forward` for the output gradient `g`."""
+    width = g.shape[-1]
     gg = g * gamma
-    m1 = gg.mean(axis=-1, keepdims=True)
-    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    m1 = gg.sum(axis=-1, keepdims=True) / width
+    m2 = (gg * xhat).sum(axis=-1, keepdims=True) / width
     axes = tuple(range(g.ndim - 1))
     return inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 

@@ -47,4 +47,11 @@ MALFORMED = {
     "float_for_int_key": (container(header({"heads": 2.0})), "heads"),
     "int_for_str_key": (container(header({"dataset": 5})), "dataset"),
     "str_for_bool_key": (container(header({"no_aff": "yes"})), "no_aff"),
+    # a second block of one name would silently replace the first
+    "repeated_param_block": (
+        container(header({}), 2 * (block_head(b"pos", [1]) + bytes(8)), 2),
+        "'pos' appears more than once"),
+    "repeated_adam_block": (
+        container(header({}), 2 * (block_head(b"adam.v:pos", [1]) + bytes(8)), 2),
+        "'adam.v:pos' appears more than once"),
 }

@@ -9,7 +9,10 @@ bit-identical to it. The resampling oracle is scipy's `resample_poly`,
 whose per-sample `upfirdn` loop the library's polyphase GEMMs replaced.
 The summed-batch loss is the one-graph training step that the streamed
 per-sample backward replaced. The direct hybrid loss is the value oracle
-for the fused heads + loss node.
+for the fused heads + loss node. The direct layer norm, attention and
+SwishGLU sublayers are the fused kernels' arithmetic with np.mean/np.var
+and a fresh array per step, which the kernels' plain sums and in-place
+buffers must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -166,46 +169,105 @@ def sigmoid_node(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "sigmoid")
 
 
-def attention_node(x: Tensor, params) -> Tensor:
-    """Differential attention alone (no layer norm, no residual) as one tape node."""
-    wq, wk, wv, wo, lam = params.wq, params.wk, params.wv, params.wo, params.lam
-    n, h, d, dv = x.shape[0], params.heads, params.d_qk, params.d_v
+def layer_norm_direct(x: np.ndarray, gamma, beta, eps: float = 1e-5):
+    """Layer norm through np.mean and np.var: (output, pullback of an output
+    gradient to (dx, dgamma, dbeta)). The library's kernel sums the width
+    itself and must match this bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+
+    def pullback(g):
+        gg = g * gamma
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        axes = tuple(range(g.ndim - 1))
+        return inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return xhat * gamma + beta, pullback
+
+
+def attention_direct(x: np.ndarray, wq, wk, wv, wo, lam, heads: int):
+    """Differential attention alone (no layer norm, no residual), each step a fresh
+    array: (output, pullback of an output gradient to (dx, dwq, dwk, dwv, dwo, dlam))."""
+    n, d, dv = x.shape[0], wq.shape[1] // (2 * heads), wv.shape[1] // heads
     scale = 1.0 / math.sqrt(d)
-    q = x.data @ wq.data
-    k = x.data @ wk.data
-    v = x.data @ wv.data
+    q = x @ wq
+    k = x @ wk
+    v = x @ wv
     _check_finite(q, "mhda query projection")
     _check_finite(k, "mhda key projection")
     _check_finite(v, "mhda value projection")
-    qh = q.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
-    kh = k.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
-    vh = v.reshape(n, h, dv).transpose(1, 0, 2)
+    qh = q.reshape(n, heads, 2, d).transpose(1, 2, 0, 3)
+    kh = k.reshape(n, heads, 2, d).transpose(1, 2, 0, 3)
+    vh = v.reshape(n, heads, dv).transpose(1, 0, 2)
     s = scale * (qh @ kh.swapaxes(-1, -2))
     _check_finite(s, "mhda attention scores")
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     m = e / e.sum(axis=-1, keepdims=True)
-    lam_h = lam.data.reshape(-1, 1, 1)
+    lam_h = lam.reshape(-1, 1, 1)
     a = m[:, 0] - lam_h * m[:, 1]
-    merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
-    out = merged @ wo.data
+    merged = (a @ vh).transpose(1, 0, 2).reshape(n, heads * dv)
 
-    def backward(g):
-        d_merged = g @ wo.data.T
+    def pullback(g):
+        d_merged = g @ wo.T
         d_wo = merged.T @ g
-        d_o = d_merged.reshape(n, h, dv).transpose(1, 0, 2)
+        d_o = d_merged.reshape(n, heads, dv).transpose(1, 0, 2)
         d_vh = a.swapaxes(-1, -2) @ d_o
         d_a = (d_o @ vh.swapaxes(-1, -2))[:, None]
         dot = (d_a * m).sum(axis=-1, keepdims=True)
         d_lam = -dot[:, 1].sum(axis=(1, 2))
         d_s = m * (d_a - dot)
         d_s *= scale * np.stack((np.ones_like(lam_h), -lam_h), axis=1)
-        d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
-        d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * h * d)
-        d_v = d_vh.transpose(1, 0, 2).reshape(n, h * dv)
-        d_x = d_q @ wq.data.T + d_k @ wk.data.T + d_v @ wv.data.T
-        return (d_x, x.data.T @ d_q, x.data.T @ d_k, x.data.T @ d_v, d_wo, d_lam)
+        d_q = (d_s @ kh).transpose(2, 0, 1, 3).reshape(n, 2 * heads * d)
+        d_k = (d_s.swapaxes(-1, -2) @ qh).transpose(2, 0, 1, 3).reshape(n, 2 * heads * d)
+        d_v = d_vh.transpose(1, 0, 2).reshape(n, heads * dv)
+        d_x = d_q @ wq.T + d_k @ wk.T + d_v @ wv.T
+        return (d_x, x.T @ d_q, x.T @ d_k, x.T @ d_v, d_wo, d_lam)
 
-    return Tensor._from_op(out, (x, wq, wk, wv, wo, lam), backward, "mhda")
+    return merged @ wo, pullback
+
+
+def attention_node(x: Tensor, params) -> Tensor:
+    """Differential attention alone (no layer norm, no residual) as one tape node."""
+    parents = (x, params.wq, params.wk, params.wv, params.wo, params.lam)
+    out, pullback = attention_direct(*(t.data for t in parents), params.heads)
+    return Tensor._from_op(out, parents, pullback, "mhda")
+
+
+def mhda_sublayer_direct(x: np.ndarray, ln_g, ln_b, wq, wk, wv, wo, lam, heads: int):
+    """x + attention(LN(x)) with `layer_norm_direct` and `attention_direct`:
+    (output, pullback to the cotangents of the eight array inputs)."""
+    xn, ln_pullback = layer_norm_direct(x, ln_g, ln_b)
+    att, att_pullback = attention_direct(xn, wq, wk, wv, wo, lam, heads)
+
+    def pullback(g):
+        d_xn, *d_w = att_pullback(g)
+        d_x, d_g, d_b = ln_pullback(d_xn)
+        return (d_x + g, d_g, d_b, *d_w)
+
+    return x + att, pullback
+
+
+def swish_glu_direct(y: np.ndarray, ln_g, ln_b, w1, w2, w3):
+    """y + (swish(n @ w1) * (n @ w2)) @ w3, n = `layer_norm_direct`(y), each step
+    a fresh array: (output, pullback to the cotangents of the six inputs)."""
+    n, ln_pullback = layer_norm_direct(y, ln_g, ln_b)
+    a = n @ w1
+    ez = np.exp(-np.abs(a))
+    s = np.where(a >= 0, 1.0, ez) / (1.0 + ez)
+    v = n @ w2
+
+    def pullback(g):
+        gate = a * s
+        d_h = g @ w3.T
+        d_a = d_h * v * s * (1.0 + a * (1.0 - s))
+        d_v = d_h * gate
+        d_y, d_g, d_b = ln_pullback(d_a @ w1.T + d_v @ w2.T)
+        return d_y + g, d_g, d_b, n.T @ d_a, n.T @ d_v, (gate * v).T @ g
+
+    return y + (a * s * v) @ w3, pullback
 
 
 def attention_sublayer_chain(x: Tensor, ln_g: Tensor, ln_b: Tensor, params) -> Tensor:

@@ -1,5 +1,6 @@
 """Differential attention, blocks, patch embedding, backbone contracts."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,8 @@ from respden.model import Model, seed_stream
 from respden.tensor import Tensor, layer_norm, matmul, mul, total_sum
 
 from oracles import (
-    attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct, softmax_rows,
+    attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct,
+    mhda_sublayer_direct, softmax_rows, swish_glu_direct,
 )
 
 
@@ -266,9 +268,9 @@ class TestSwishGlu:
         assert max(r.max_rel_err for r in rows) < 1e-4
 
 
-def random_block(rng, d, heads, lam=None, lam_grad=True):
+def random_block(rng, d, heads, lam=None, lam_grad=True, w_scale=0.5):
     """Block parameters at a generic point; every tensor a gradient leaf unless frozen."""
-    def t(*shape, scale=0.5, shift=0.0):
+    def t(*shape, scale=w_scale, shift=0.0):
         return Tensor(shift + rng.standard_normal(shape) * scale, requires_grad=True)
 
     lam = rng.uniform(0.2, 0.9, heads) if lam is None else lam
@@ -369,6 +371,71 @@ class TestFusedSublayersMatchChain:
                           {"x": y, "w1": args[2], "w2": args[3], "w3": args[4]},
                           Tensor(np.random.default_rng(52).standard_normal((2, d))))
         assert swish_glu(y, *args).data[0, 5] < 0  # -745 * e^-745, not 0
+
+
+class TestKernelsBitEqualToDirectArithmetic:
+    """The fused nodes' plain-sum layer norm and in-place buffers against the same
+    arithmetic through np.mean/np.var with a fresh array per step: every output
+    bit and every cotangent, at the default model's dims."""
+
+    @staticmethod
+    def setup_case(lam_case):
+        cfg = RunConfig()
+        rng = np.random.default_rng(70)
+        # lambda = 0 is the no_ddl value; kept a leaf so its cotangent is compared too
+        lam = np.zeros(cfg.heads) if lam_case == "lambda_zero" else None
+        # weights of std 0.1 keep the score rows away from one-hot saturation
+        params = random_block(rng, cfg.dim, cfg.heads, lam=lam, w_scale=0.1)
+        x = Tensor(rng.standard_normal((N_TOKENS, cfg.dim)), requires_grad=True)
+        return x, params, Tensor(rng.standard_normal((N_TOKENS, cfg.dim)))
+
+    @staticmethod
+    def assert_bit_equal(build, leaves, w, direct):
+        got, grads = forward_and_grads(build, leaves, w)
+        want, pullback = direct
+        assert np.array_equal(got, want)
+        for name, ref in zip(leaves, pullback(w.data), strict=True):
+            assert np.array_equal(grads[name], ref), name
+
+    @pytest.mark.parametrize("lam_case", ["learned", "lambda_zero"])
+    def test_mhda(self, lam_case):
+        x, p, w = self.setup_case(lam_case)
+        leaves = {"x": x, **attention_leaves(p)}
+        direct = mhda_sublayer_direct(*(t.data for t in leaves.values()), p.attn.heads)
+        self.assert_bit_equal(lambda: mhda(x, p.ln1_g, p.ln1_b, p.attn), leaves, w, direct)
+
+    def test_swish_glu(self):
+        x, p, w = self.setup_case("learned")
+        leaves = {"x": x, **ffn_leaves(p)}
+        direct = swish_glu_direct(*(t.data for t in leaves.values()))
+        self.assert_bit_equal(lambda: swish_glu(x, p.ln2_g, p.ln2_b, p.ffn_w1, p.ffn_w2, p.ffn_w3),
+                              leaves, w, direct)
+
+
+class TestKernelMemory:
+    """Peak traced heap at the default model's dims: `mhda` turns its scores into
+    both softmax maps in one buffer and builds the differential map in a second."""
+
+    @staticmethod
+    def peak_kb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+
+    def test_grad_mode_mhda_forward(self):
+        model = Model(validate_config(RunConfig()))
+        block = model.backbone_params().blocks[0]
+        x = Tensor(np.random.default_rng(80).standard_normal((N_TOKENS, model.cfg.dim)),
+                   requires_grad=True)
+        assert self.peak_kb(lambda: mhda(x, block.ln1_g, block.ln1_b, block.attn)) <= 900
+
+    def test_no_grad_predict(self):
+        model = Model(validate_config(RunConfig()))
+        spec = np.random.default_rng(81).standard_normal((249, 64)) - 5.0
+        assert self.peak_kb(lambda: model.predict(spec)) <= 1300
 
 
 @pytest.fixture

@@ -258,6 +258,9 @@ class TestReportCommand:
         "config_not_object": b'{"type": "header", "config": [1]}\n' + EPOCH,
         "epoch_without_score": HEADER + EPOCH + b'{"type": "epoch", "epoch": 1, "sp": 0.5, "se": 0.5}\n',
         "metric_not_finite": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": NaN'),
+        # a JSON bool is a Python int
+        "metric_is_boolean": HEADER + EPOCH.replace(b'"sp": 0.5, "se": 0.5, "score": 0.5',
+                                                    b'"sp": false, "se": true, "score": true'),
         "not_utf8": HEADER + EPOCH + b"\xff\n",
         "nested_too_deep": HEADER + EPOCH + b"[" * 100_000 + b"\n",
         "flag_not_boolean": b'{"type": "header", "config": {"no_aff": "false"}}\n' + EPOCH,

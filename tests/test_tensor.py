@@ -7,7 +7,7 @@ from respden.errors import NumericError, ShapeError
 from respden.gradcheck import check_loss_gradients
 from respden.tensor import Tensor, layer_norm, matmul, mul, no_grad, soft_shrink, total_sum
 
-from oracles import naive_matmul
+from oracles import layer_norm_direct, naive_matmul
 
 
 class TestMatmul:
@@ -63,6 +63,20 @@ class TestLayerNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.zeros((2, 5))), Tensor(np.ones(4)), Tensor(np.zeros(5)))
+
+    @pytest.mark.parametrize("shape", [(64, 96), (1, 96), (3, 64, 96)])
+    def test_bit_equal_to_mean_var_oracle(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = Tensor(3.0 + 2.0 * rng.standard_normal(shape), requires_grad=True)
+        g = Tensor(1.0 + 0.3 * rng.standard_normal(shape[-1]), requires_grad=True)
+        b = Tensor(0.3 * rng.standard_normal(shape[-1]), requires_grad=True)
+        w = rng.standard_normal(shape)
+        out = layer_norm(x, g, b)
+        total_sum(mul(Tensor(w), out)).backward()
+        want, pullback = layer_norm_direct(x.data, g.data, b.data)
+        assert np.array_equal(out.data, want)
+        for name, got, ref in zip(("x", "gamma", "beta"), (x.grad, g.grad, b.grad), pullback(w)):
+            assert np.array_equal(got, ref), name
 
 
 class TestSoftShrink:
