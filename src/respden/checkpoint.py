@@ -12,8 +12,9 @@ Layout (all integers little-endian):
         ndim u32, extents (ndim x u32)
         data (prod(extents) float64 little-endian)
 
-Parameters are stored under their model names; Adam moments, when present,
-under ``adam.m:<name>`` / ``adam.v:<name>``. Roundtrips are bitwise. The writer
+The blocks are the model's parameters, one each, under their model names;
+``adam_step`` counts the optimizer steps taken, or is null for a model that
+was never trained. Roundtrips are bitwise. The writer
 fills ``<path>.tmp`` and renames it over the target, so a save that fails
 part-way leaves the previous file intact.
 
@@ -28,7 +29,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +51,6 @@ class Checkpoint:
     epoch: int
     params: dict[str, np.ndarray]
     adam_step: int | None = None
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
         """The stored config, validated; a stored config that is not valid is a corrupt file."""
@@ -62,15 +61,9 @@ class Checkpoint:
 
 
 def checkpoint_from_model(model: Model, epoch: int, adam: AdamState | None = None) -> Checkpoint:
+    """The model's parameters; of the optimizer state only its step count is kept."""
     params = {name: p.data.copy() for name, p in model.params.items()}
-    if adam is None:
-        return Checkpoint(model.cfg.snapshot(), epoch, params)
-    return Checkpoint(
-        model.cfg.snapshot(), epoch, params,
-        adam_step=adam.step,
-        adam_m={k: v.copy() for k, v in adam.m.items()},
-        adam_v={k: v.copy() for k, v in adam.v.items()},
-    )
+    return Checkpoint(model.cfg.snapshot(), epoch, params, None if adam is None else adam.step)
 
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
@@ -87,10 +80,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         {"config": ckpt.config, "epoch": ckpt.epoch, "adam_step": ckpt.adam_step},
         sort_keys=True,
     ).encode("utf-8")
-    blocks: list[tuple[str, np.ndarray]] = list(ckpt.params.items())
-    if ckpt.adam_step is not None:
-        blocks += [(f"adam.m:{k}", v) for k, v in ckpt.adam_m.items()]
-        blocks += [(f"adam.v:{k}", v) for k, v in ckpt.adam_v.items()]
     tmp = f"{path}.tmp"  # same directory, so the rename cannot cross file systems
     try:
         with open(tmp, "wb") as fh:
@@ -98,8 +87,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
-            fh.write(struct.pack("<I", len(blocks)))
-            for name, arr in blocks:
+            fh.write(struct.pack("<I", len(ckpt.params)))
+            for name, arr in ckpt.params.items():
                 _write_block(fh, name, arr)
         os.replace(tmp, path)
     except BaseException:
@@ -142,8 +131,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"checkpoint header is a JSON {type(header).__name__}, not an object")
         nblocks = _read_u32(fh, size, "block count")
         params: dict[str, np.ndarray] = {}
-        adam_m: dict[str, np.ndarray] = {}
-        adam_v: dict[str, np.ndarray] = {}
         for _ in range(nblocks):
             raw_name = _read_exact(fh, size, _read_u32(fh, size, "name length"), "block name")
             try:
@@ -158,15 +145,9 @@ def load_checkpoint(path: str) -> Checkpoint:
                 arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             except ValueError as exc:  # too many dimensions, or a zero among huge extents
                 raise CheckpointError(f"checkpoint block '{name}' has an unusable shape: {exc}") from exc
-            if name.startswith("adam.m:"):
-                table, key = adam_m, name[len("adam.m:"):]
-            elif name.startswith("adam.v:"):
-                table, key = adam_v, name[len("adam.v:"):]
-            else:
-                table, key = params, name
-            if key in table:
+            if name in params:
                 raise CheckpointError(f"checkpoint block '{name}' appears more than once")
-            table[key] = arr
+            params[name] = arr
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared blocks")
     config, epoch, adam_step = header.get("config", {}), header.get("epoch", 0), header.get("adam_step")
@@ -174,7 +155,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             and (adam_step is None or type(adam_step) is int)):
         raise CheckpointError("checkpoint header needs an object config, an int epoch "
                               "and an int or null adam_step")
-    return Checkpoint(config, epoch, params, adam_step, adam_m, adam_v)
+    return Checkpoint(config, epoch, params, adam_step)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
@@ -204,11 +185,3 @@ def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict
     if extra:
         raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)}")
     return {name: ckpt.params[name].astype(np.float64) for name in shapes}
-
-
-def adam_from_checkpoint(ckpt: Checkpoint) -> AdamState | None:
-    if ckpt.adam_step is None:
-        return None
-    return AdamState(step=int(ckpt.adam_step),
-                     m={k: v.copy() for k, v in ckpt.adam_m.items()},
-                     v={k: v.copy() for k, v in ckpt.adam_v.items()})

@@ -1,7 +1,7 @@
 """Command-line surface: train / eval / synth / gradcheck / report.
 
 Exit codes are a stable contract for scripting:
-0 success, 1 verification or training failure, 2 usage error,
+0 success, 1 verification, training or numeric failure, 2 usage error,
 3 I/O or data-format error.
 """
 
@@ -22,6 +22,7 @@ from .datasets import write_synth
 from .errors import (
     CheckpointError,
     DatasetError,
+    NumericError,
     ShapeError,
     TrainingError,
     UndefinedMetricError,
@@ -173,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingError,) as exc:
+    except (TrainingError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (DatasetError, CheckpointError, ShapeError, UndefinedMetricError, OSError) as exc:

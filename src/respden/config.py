@@ -8,6 +8,7 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import UsageError
@@ -136,6 +137,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     need(cfg.test_per_class >= 0, f"test_per_class must be >= 0, got {cfg.test_per_class}")
     need(cfg.train_subjects >= 1 and cfg.test_subjects >= 1, "subject counts must be >= 1")
     need(cfg.snr_lo <= cfg.snr_hi, f"snr_lo={cfg.snr_lo} exceeds snr_hi={cfg.snr_hi}")
+    need(math.isfinite(cfg.snr_hi - cfg.snr_lo),
+         f"snr range {cfg.snr_lo}..{cfg.snr_hi} must have a finite width")
     return cfg
 
 

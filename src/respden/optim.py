@@ -9,6 +9,11 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
+#: Kingma & Ba's (2015) published defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -30,9 +35,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place Adam update with bias correction.
@@ -45,8 +47,8 @@ def adam_step(
     state.ensure(params)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
@@ -55,8 +57,8 @@ def adam_step(
             p.data -= lr * weight_decay * p.data
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

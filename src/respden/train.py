@@ -24,10 +24,6 @@ from .model import Model, seed_stream
 from .optim import AdamState, adam_step
 from .tensor import mul
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
 
 @dataclass
 class PreparedData:
@@ -150,7 +146,8 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list |
 
     Metrics in each epoch record are computed on the test split when one
     exists, otherwise on the training split. A non-finite loss aborts with
-    a diagnostic naming the epoch and step.
+    a diagnostic naming the epoch and step, and non-finite values in an
+    epoch's evaluation with one naming the epoch.
     """
     data = prepare_data(cfg, manifest, clips)
     if not data.train_idx:
@@ -173,15 +170,17 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list |
                 value = _batch_loss(model, data, batch)
                 trainable = model.trainable()
                 adam_step(trainable, {n: p.grad for n, p in trainable.items()}, adam,
-                          lr=cfg.lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
-                          weight_decay=cfg.weight_decay)
+                          lr=cfg.lr, weight_decay=cfg.weight_decay)
             except NumericError as exc:
                 raise TrainingError(f"non-finite loss at epoch {epoch} step {steps_done}: {exc}") from exc
             result.step_losses.append(value)
             epoch_loss += value * len(batch)
             seen += len(batch)
             steps_done += 1
-        report = evaluate_indices(model, data, metric_idx)
+        try:
+            report = evaluate_indices(model, data, metric_idx)
+        except NumericError as exc:
+            raise TrainingError(f"non-finite values evaluating epoch {epoch}: {exc}") from exc
         record = EpochRecord(epoch, epoch_loss / max(seen, 1), report.se, report.sp, report.score)
         result.history.append(record)
         result.log_lines.append(record.to_json())

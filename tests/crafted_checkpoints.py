@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import struct
 
+import numpy as np
+
 from respden.checkpoint import MAGIC, VERSION
 
 
@@ -21,6 +23,11 @@ def block_head(name: bytes, extents: list[int]) -> bytes:
     """A block up to, not including, its data."""
     return (struct.pack("<I", len(name)) + name
             + struct.pack(f"<I{len(extents)}I", len(extents), *extents))
+
+
+def block(name: str, arr: np.ndarray) -> bytes:
+    """A whole block, as the writer lays it out."""
+    return block_head(name.encode("utf-8"), list(arr.shape)) + arr.astype("<f8").tobytes()
 
 
 def header(config: dict) -> bytes:

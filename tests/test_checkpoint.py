@@ -1,7 +1,9 @@
 """Checkpoint container: bitwise roundtrips and distinct corruption errors."""
 
+import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import respden.checkpoint as checkpoint_module
 from respden.checkpoint import (
     Checkpoint,
-    adam_from_checkpoint,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
 )
+from respden.cli import main
 from respden.config import RunConfig, validate_config
 from respden.errors import (
     BadMagicError, CheckpointError, NumericError, ShapeError, TruncatedError, VersionError,
@@ -23,7 +25,7 @@ from respden.errors import (
 from respden.model import Model
 from respden.optim import AdamState
 
-from crafted_checkpoints import MALFORMED
+from crafted_checkpoints import MALFORMED, block, container
 
 
 def small_cfg(**kw):
@@ -35,11 +37,7 @@ def small_cfg(**kw):
 @pytest.fixture
 def saved(tmp_path):
     model = Model(small_cfg())
-    adam = AdamState()
-    adam.ensure(model.trainable())
-    adam.step = 17
-    for k in adam.m:
-        adam.m[k] += 0.25
+    adam = AdamState(step=17)
     path = tmp_path / "ck.bin"
     save_checkpoint(checkpoint_from_model(model, epoch=3, adam=adam), str(path))
     return model, adam, str(path)
@@ -47,16 +45,21 @@ def saved(tmp_path):
 
 class TestRoundtrip:
     def test_every_tensor_bitwise_equal(self, saved):
-        model, adam, path = saved
+        model, _, path = saved
         ckpt = load_checkpoint(path)
-        assert set(ckpt.params) == set(model.params)
+        # the file's blocks are the model's parameters, in order, and nothing else
+        assert list(ckpt.params) == list(model.params)
         for name, p in model.params.items():
             np.testing.assert_array_equal(ckpt.params[name], p.data)
         assert ckpt.epoch == 3 and ckpt.adam_step == 17
-        state = adam_from_checkpoint(ckpt)
-        for name in adam.m:
-            np.testing.assert_array_equal(state.m[name], adam.m[name])
-            np.testing.assert_array_equal(state.v[name], adam.v[name])
+
+    def test_file_is_header_plus_parameter_blocks(self, saved):
+        model, _, path = saved
+        raw = open(path, "rb").read()
+        hlen = struct.unpack("<I", raw[8:12])[0]
+        blocks = b"".join(block(name, p.data) for name, p in model.params.items())
+        assert len(raw) == 12 + hlen + 4 + len(blocks)
+        assert raw[12 + hlen:] == struct.pack("<I", len(model.params)) + blocks
 
     def test_file_bytes_deterministic(self, saved, tmp_path):
         model, adam, path = saved
@@ -76,7 +79,7 @@ class TestRoundtrip:
         path = tmp_path / "bare.bin"
         save_checkpoint(checkpoint_from_model(model, epoch=0), str(path))
         ckpt = load_checkpoint(str(path))
-        assert ckpt.adam_step is None and adam_from_checkpoint(ckpt) is None
+        assert ckpt.adam_step is None
 
 
 class TestAtomicSave:
@@ -142,6 +145,20 @@ class TestCorruption:
         with pytest.raises(expected, match=re.escape(names)):
             model_from_checkpoint(load_checkpoint(str(path)))
 
+    def test_file_with_adam_moments_is_rejected(self, tmp_path, capsys):
+        # the earlier format stored both Adam moments after the parameters
+        model = Model(small_cfg())
+        params = [(name, p.data) for name, p in model.params.items()]
+        blocks = params + [(f"adam.{kind}:{name}", np.zeros_like(arr))
+                           for kind in "mv" for name, arr in params]
+        head = json.dumps({"config": model.cfg.snapshot(), "epoch": 3, "adam_step": 17})
+        path = tmp_path / "with-adam.bin"
+        path.write_bytes(container(head.encode("utf-8"),
+                                   b"".join(block(n, a) for n, a in blocks), len(blocks)))
+        assert main(["eval", "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown parameters" in err and "'adam.m:pos'" in err
+
     def test_errors_are_distinct_types(self):
         assert BadMagicError is not VersionError is not TruncatedError
         for exc in (BadMagicError, VersionError, TruncatedError):
@@ -184,11 +201,9 @@ class TestBinding:
 
 @pytest.fixture(scope="module")
 def minimal_file(tmp_path_factory):
-    """A checkpoint of the minimal benchmark model with Adam state, and a path for mutants."""
+    """A checkpoint of the minimal benchmark model with an Adam step count, and a path for mutants."""
     model = Model(small_cfg(dim=16, heads=2))
-    adam = AdamState()
-    adam.ensure(model.trainable())
-    adam.step = 2
+    adam = AdamState(step=2)
     workdir = tmp_path_factory.mktemp("fuzz")
     path = workdir / "ck.bin"
     save_checkpoint(checkpoint_from_model(model, epoch=1, adam=adam), str(path))

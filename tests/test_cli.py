@@ -150,6 +150,35 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:") and names in err
 
+    def test_numeric_failure_in_eval_is_1(self, tmp_path, capsys):
+        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4,
+                                        train_per_class=1, test_per_class=1))
+        ckpt = checkpoint_from_model(Model(cfg), epoch=0)
+        ckpt.params["aff.w1"][...] = 1e306  # finite, but the mask net overflows on any clip
+        path = tmp_path / "huge.bin"
+        save_checkpoint(ckpt, str(path))
+        code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "mask_net" in err and "Traceback" not in err
+
+    # each overflows the parameters in the first Adam step, so the epoch's
+    # evaluation, not the step, meets the non-finite values
+    @pytest.mark.parametrize("flags", [["--lr", "1e300"], ["--lr", "inf"],
+                                       ["--weight-decay", "inf"]])
+    def test_numeric_failure_in_epoch_evaluation_is_1(self, flags, tmp_path, capsys):
+        code, _, err = run(["train", *flags, "--epochs", "1", "--train-per-class", "1",
+                            "--test-per-class", "1", "--dim", "16", "--heads", "2",
+                            "--layers", "1", "--out-dir", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "epoch 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--snr-hi", "inf"], ["--snr-lo=-inf"],
+                                       ["--snr-lo=-1e308", "--snr-hi=1e308"]])
+    def test_unbounded_snr_range_is_2(self, flags, tmp_path, capsys):
+        code, _, err = run(["synth", *flags, "--out-dir", str(tmp_path / "ds")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "snr range" in err
+
     def test_truncated_wav_in_dataset_is_3(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)

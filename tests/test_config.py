@@ -45,6 +45,13 @@ class TestValidation:
         with pytest.raises(UsageError, match="unknown"):
             parse_config({"learning_rate": 1e-3})
 
+    # each passes snr_lo <= snr_hi, but synthesis cannot draw from the range
+    @pytest.mark.parametrize("lo, hi", [(5.0, float("inf")), (float("-inf"), 20.0),
+                                        (float("-inf"), float("inf")), (-1e308, 1e308)])
+    def test_snr_range_width_must_be_finite(self, lo, hi):
+        with pytest.raises(UsageError, match="snr range"):
+            parse_config({"snr_lo": lo, "snr_hi": hi})
+
 
 class TestFileGrammar:
     def test_file_values_parsed_and_typed(self, tmp_path):

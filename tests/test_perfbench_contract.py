@@ -1,24 +1,35 @@
-"""The benchmark tracer's contract with the library it wraps.
+"""The benchmark's contract with the library it runs.
 
-`perfbench/tracer.py` swaps module and class attributes by name; a
-refactor that renames or moves one of them must fail here rather than
-inside a benchmark run.
+`perfbench/tracer.py` swaps module and class attributes by name, and
+`perfbench/workloads.py` calls the library the way the CLI does; a
+refactor that renames, moves or re-signs one of them must fail here rather
+than inside a benchmark run.
 """
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_perfbench("workloads")
 
 
 @pytest.fixture(scope="module")
 def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_every_span_target_exists(tracer_module):
@@ -41,3 +52,20 @@ def test_install_then_uninstall_restores_identical_objects(tracer_module):
     assert len(replaced) == len(before)
     for (owner, attr), obj in before.items():
         assert vars(owner)[attr] is obj, f"{attr} not restored"
+
+
+class StubCalibrator:
+    """Takes no machine-speed samples: this run checks calls, not timings."""
+
+    def tick(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_without_failed_operations(name, tmp_path):
+    # the shrunken self-test size, with the fewest operations the loop allows
+    workload = workloads.WORKLOADS[name](seed=0, minimal=True, workdir=str(tmp_path))
+    workload.setup()
+    stats = workload.run(0.0, None, StubCalibrator())
+    assert stats.errors == []
+    assert stats.failed == 0 and stats.attempted > 0
