@@ -5,21 +5,24 @@ Run:  python demos/01_tensor_autodiff.py
 
 import numpy as np
 
-from respden.tensor import Tensor, layer_norm, matmul, mul, total_sum
+from respden.tensor import Tensor, layer_norm, mul, total_sum
 
 rng = np.random.default_rng(0)
 
-# A tiny computation: z = sum(targets * (x @ w)^2)
+# A tiny computation: z = sum(targets * (x * w)^2), with the row w broadcast over x's rows
 x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-targets = Tensor(rng.random((2, 4)))
+w = Tensor(rng.standard_normal(3), requires_grad=True)
+targets = Tensor(rng.random((2, 3)))
 
-h = matmul(x, w)
+h = mul(x, w)
 z = total_sum(mul(targets, mul(h, h)))
 z.backward()
 print("z =", z.item())
 print("dz/dx:\n", x.grad)
-print("matches 2 (targets * h) @ w^T:", np.allclose(x.grad, 2 * (targets.data * h.data) @ w.data.T))
+print("matches 2 targets * h * w:", np.allclose(x.grad, 2 * targets.data * h.data * w.data))
+# the broadcast is undone in the backward: w's gradient sums over the rows it was copied to
+print("dz/dw =", w.grad, " matches the row sum:",
+      np.allclose(w.grad, (2 * targets.data * h.data * x.data).sum(axis=0)))
 
 # Gradients accumulate additively when a tensor is used twice.
 a = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -23,7 +23,7 @@ for overrides in ({}, {"no_aff": True}):
     result = train(cfg)
     data = prepare_data(cfg)
     report = evaluate_split(result.model, data, "test")
-    name = variant_name(cfg.ablation_flags())
+    name = variant_name(cfg.snapshot())
     print(f"{name}: final train loss {result.history[-1].train_loss:.3f}  "
           f"held-out Score {report.score:.3f}")
     rows.append((name, report.sp, report.se, report.score))

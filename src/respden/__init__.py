@@ -35,7 +35,7 @@ from .losses import HeadParams, smoothed_target, total_loss
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
 from .model import Model, init_params, seed_stream
 from .optim import AdamState, adam_step
-from .tensor import Tensor, layer_norm, matmul, no_grad, soft_shrink
+from .tensor import Tensor, layer_norm, no_grad, soft_shrink
 from .train import evaluate_split, prepare_data, train
 
 __version__ = "0.1.0"

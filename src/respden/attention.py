@@ -6,8 +6,9 @@ query/key projections and subtracts the second, scaled by a learnable
 per-head factor lambda, before multiplying by the values;
 common-mode attention mass cancels while stable structure survives.
 
-A block is two tape nodes, one per sublayer. Each hand-derived backward
-ends in the shared layer-norm pullback plus the residual identity.
+Patch embedding is one tape node, and a block two, one per sublayer.
+Each sublayer's hand-derived backward ends in the shared layer-norm
+pullback plus the residual identity.
 
 * `mhda` normalizes the tokens, projects them once (`wq`, `wk`, `wv`),
   views the projections as head arrays, (H, 2, N, d) for queries and keys
@@ -30,7 +31,7 @@ import numpy as np
 
 from .audio import DEFAULT_SPEC_CONFIG, N_FRAMES
 from .errors import ShapeError
-from .tensor import Tensor, _check_finite, _ln_backward, _ln_forward, add, layer_norm, matmul
+from .tensor import Tensor, _check_finite, _ln_backward, _ln_forward, layer_norm
 
 PATCH = 16
 #: token grid over the zero-padded 256 x 64 spectrogram
@@ -224,24 +225,28 @@ def extract_patches(values: np.ndarray) -> np.ndarray:
 
 
 def patch_embed(x: Tensor, params: BackboneParams) -> Tensor:
-    """Project flattened patches to model width and add positions."""
+    """Flattened patches @ W + b + positions, as one tape node.
+
+    The backward scatters the patch gradient back onto the grid only when
+    `x` requires grad; a constant spectrogram (no filter in front) skips it.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"patch_embed expects a 2-D spectrogram, got {x.shape}")
-    patches = patchify(x)
-    return add(add(matmul(patches, params.patch_w), params.patch_b), params.pos)
-
-
-def patchify(x: Tensor) -> Tensor:
-    """Differentiable patch extraction (gradient scatters back to the grid)."""
+    w, b, pos = params.patch_w, params.patch_b, params.pos
     t, f = x.shape
-    out = extract_patches(x.data)
+    patches = extract_patches(x.data)
+    out = patches @ w.data
+    out += b.data
+    out += pos.data
 
     def backward(g):
-        blocks = g.reshape(N_TIME_PATCHES, N_FREQ_PATCHES, PATCH, PATCH).transpose(0, 2, 1, 3)
-        padded = blocks.reshape(N_TIME_PATCHES * PATCH, f)
-        return (padded[:t],)
+        d_x = None
+        if x.requires_grad:
+            blocks = (g @ w.data.T).reshape(N_TIME_PATCHES, N_FREQ_PATCHES, PATCH, PATCH)
+            d_x = blocks.transpose(0, 2, 1, 3).reshape(N_TIME_PATCHES * PATCH, f)[:t]
+        return d_x, patches.T @ g, g.sum(axis=0), g
 
-    return Tensor._from_op(out, (x,), backward, "patchify")
+    return Tensor._from_op(out, (x, w, b, pos), backward, "patch_embed")
 
 
 def backbone_forward(x: Tensor, params: BackboneParams) -> Tensor:

@@ -219,30 +219,28 @@ def _polyphase(up: int, down: int) -> _Polyphase:
                       runs=runs, lead=lead, reach=last_start + (repeats - 1) * advance + width)
 
 
-def resampled_length(n: int, source_rate: int, target_rate: int = TARGET_RATE) -> int:
-    """Samples `resample` makes of n samples: round(n * target / source)."""
-    return int(round(n * target_rate / source_rate))
+def resampled_length(n: int, source_rate: int) -> int:
+    """Samples `resample` makes of n samples: round(n * 16000 / source)."""
+    return int(round(n * TARGET_RATE / source_rate))
 
 
-def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
-    """Band-limited (polyphase windowed-sinc) resampling.
+def resample(clip: AudioClip) -> AudioClip:
+    """Band-limited (polyphase windowed-sinc) resampling to 16 kHz.
 
-    Output length is `resampled_length`; equal rates pass the samples
-    through untouched.
+    Output length is `resampled_length`; a 16 kHz clip passes through
+    untouched.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
-    if clip.sample_rate == target_rate:
+    if clip.sample_rate == TARGET_RATE:
         return clip
-    g = math.gcd(target_rate, clip.sample_rate)
-    n_out = resampled_length(clip.samples.size, clip.sample_rate, target_rate)
-    out = _polyphase(target_rate // g, clip.sample_rate // g).apply(clip.samples, n_out)
-    return AudioClip(out, target_rate, clip.label, clip.subject_id)
+    g = math.gcd(TARGET_RATE, clip.sample_rate)
+    n_out = resampled_length(clip.samples.size, clip.sample_rate)
+    out = _polyphase(TARGET_RATE // g, clip.sample_rate // g).apply(clip.samples, n_out)
+    return AudioClip(out, TARGET_RATE, clip.label, clip.subject_id)
 
 
-def fix_length(clip: AudioClip, target_seconds: float = TARGET_SECONDS) -> AudioClip:
-    """Cyclically tile short clips / truncate long ones to the target length."""
-    target = int(round(target_seconds * clip.sample_rate))
+def fix_length(clip: AudioClip) -> AudioClip:
+    """Cyclically tile short clips / truncate long ones to 8 s at the clip's rate."""
+    target = int(round(TARGET_SECONDS * clip.sample_rate))
     n = clip.samples.size
     if n == target:
         return clip
@@ -273,8 +271,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: SpectrogramConfig = DEFAULT_SPEC_CONFIG) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular, area-normalized filterbank (n_mels x (n_fft//2 + 1))."""
+    cfg = DEFAULT_SPEC_CONFIG
     n_bins = cfg.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
@@ -289,7 +288,8 @@ def mel_filterbank(cfg: SpectrogramConfig = DEFAULT_SPEC_CONFIG) -> np.ndarray:
     return bank
 
 
-def band_centers_hz(cfg: SpectrogramConfig = DEFAULT_SPEC_CONFIG) -> np.ndarray:
+def band_centers_hz() -> np.ndarray:
+    cfg = DEFAULT_SPEC_CONFIG
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     return mel_to_hz(mel_pts)[1:-1]
 
@@ -302,7 +302,7 @@ _WINDOW = _read_only(_hann_periodic(DEFAULT_SPEC_CONFIG.n_fft))
 #: the filterbank as a read-only CSR matrix: 1001 of its 32832 entries are
 #: nonzero, and the sparse product sums each band's bins in one fixed
 #: order, so the features do not depend on the BLAS thread count
-_MEL_BANK = _read_only_csr(mel_filterbank(DEFAULT_SPEC_CONFIG))
+_MEL_BANK = _read_only_csr(mel_filterbank())
 
 
 def mel_spectrogram(clip: AudioClip) -> Spectrogram:

@@ -51,9 +51,6 @@ class RunConfig:
     snr_lo: float = 5.0
     snr_hi: float = 20.0
 
-    def ablation_flags(self) -> dict[str, bool]:
-        return {"no_aff": self.no_aff, "no_ddl": self.no_ddl, "no_bias_loss": self.no_bias_loss}
-
     def snapshot(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -122,13 +119,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise UsageError(msg)
 
     need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
-    need(cfg.lr > 0, f"lr must be > 0, got {cfg.lr}")
-    need(cfg.weight_decay >= 0, f"weight_decay must be >= 0, got {cfg.weight_decay}")
+    need(0 < cfg.lr < math.inf, f"lr must be finite and > 0, got {cfg.lr}")
+    need(0 <= cfg.weight_decay < math.inf,
+         f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
     need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")
     need(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
     need(0.0 <= cfg.beta <= 1.0, f"beta must be in [0, 1], got {cfg.beta}")
     need(0.0 <= cfg.epsilon < 1.0, f"epsilon must be in [0, 1), got {cfg.epsilon}")
-    need(cfg.alpha >= 0.0, f"alpha must be >= 0, got {cfg.alpha}")
+    need(0.0 <= cfg.alpha < math.inf, f"alpha must be finite and >= 0, got {cfg.alpha}")
     need(cfg.dim >= 1 and cfg.heads >= 1 and cfg.layers >= 0, "model dimensions must be positive")
     need(cfg.mask_hidden >= 1, f"mask_hidden must be >= 1, got {cfg.mask_hidden}")
     need(cfg.dim % (2 * cfg.heads) == 0,

@@ -17,12 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import BlockParams, MhdaParams, denoise_block, mhda, swish_glu
+from .attention import (BackboneParams, BlockParams, MhdaParams, N_TOKENS, PATCH_DIM, denoise_block,
+                        mhda, patch_embed, swish_glu)
 from .config import RunConfig, validate_config
 from .freq_filter import FilterParams, filter_forward
 from .losses import HeadParams, total_loss
 from .model import Model, seed_stream
-from .tensor import Tensor, layer_norm, matmul, mul, no_grad, soft_shrink, total_sum
+from .tensor import Tensor, layer_norm, mul, no_grad, soft_shrink, total_sum
 
 FD_STEP = 1e-3
 OP_TOL = 1e-4
@@ -121,9 +122,12 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
             for r in check_loss_gradients(loss_fn, params, tol=tol)
         )
 
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    check("matmul", lambda: _weighted_sum(matmul(a, b), np.random.default_rng(7)), {"A": a, "B": b})
+    # 18 spectrogram rows span a full and a zero-padded partial time block
+    x_pe = Tensor(rng.standard_normal((18, 64)), requires_grad=True)
+    emb = BackboneParams(*(Tensor(rng.standard_normal(shape), requires_grad=True)
+                           for shape in ((PATCH_DIM, 2), (2,), (N_TOKENS, 2))), [], None, None)
+    check("patch_embed", lambda: _weighted_sum(patch_embed(x_pe, emb), np.random.default_rng(7)),
+          {"x": x_pe, "W": emb.patch_w, "b": emb.patch_b, "pos": emb.pos})
 
     x_ln = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
     g_ln = Tensor(rng.standard_normal(5), requires_grad=True)
@@ -227,7 +231,9 @@ def composed_model_suite(seed: int = 0, max_entries: int = 8) -> list[CheckRow]:
     """Gradient check of the full model (filter + 1 block + heads, dim 32).
 
     The loss is the mean hybrid loss over a 2-sample batch of random
-    spectrograms, matching how training consumes the graph. The input
+    spectrograms, built as one summed graph, so the check also covers
+    gradients that two graphs accumulate into shared parameters. (Training
+    backpropagates one sample graph at a time instead.) The input
     amplitude is kept small so the spectrum's DC term cannot drag mask-net
     preactivations across their rectifier kinks within the probe step;
     differentiability at a point is what central differences can measure.

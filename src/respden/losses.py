@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import N_CLASSES
 from .tensor import Tensor, _ln_backward, _ln_forward
 
-N_CLASSES = 4
 #: fixed output gain on both heads. Head weights start at zero and move by
 #: about the learning rate per Adam step; the gain lets logits reach
 #: decision-sized margins within a desk-scale step budget at the default
@@ -44,12 +44,12 @@ def _check_label(label: int) -> int:
     return label
 
 
-def smoothed_target(label: int, epsilon: float, n_classes: int = N_CLASSES) -> np.ndarray:
+def smoothed_target(label: int, epsilon: float) -> np.ndarray:
     """y * (1 - eps) + eps / C; always sums to 1."""
     label = _check_label(label)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"smoothing must be in [0, 1), got {epsilon}")
-    t = np.full(n_classes, epsilon / n_classes)
+    t = np.full(N_CLASSES, epsilon / N_CLASSES)
     t[label] += 1.0 - epsilon
     return t
 

@@ -11,11 +11,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import BackboneParams, BlockParams, MhdaParams, N_TOKENS, PATCH_DIM, backbone_forward
-from .audio import Spectrogram
 from .config import RunConfig
 from .errors import ShapeError
 from .freq_filter import FilterParams, filter_forward
-from .losses import HeadParams, N_CLASSES, cls_logits, total_loss
+from .losses import HeadParams, cls_logits, total_loss
+from .metrics import N_CLASSES
 from .tensor import Tensor, no_grad
 
 LAMBDA_INIT = 0.8
@@ -175,9 +175,8 @@ class Model:
 
     # -- forward -----------------------------------------------------------------
 
-    def features(self, spec: Spectrogram | np.ndarray) -> Tensor:
-        values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec, dtype=np.float64)
-        x = Tensor(values)
+    def features(self, spec: np.ndarray) -> Tensor:
+        x = Tensor(spec)
         if not self.cfg.no_aff:
             x = filter_forward(x, self.filter_params())
         return backbone_forward(x, self.backbone_params())

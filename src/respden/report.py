@@ -12,11 +12,10 @@ import math
 from .errors import DatasetError, UsageError
 
 
-def truncate_pct(fraction: float, decimals: int = 2) -> float:
-    """Truncate a [0, 1] fraction to a percentage with fixed decimals."""
-    scale = 10**decimals
+def truncate_pct(fraction: float) -> float:
+    """Truncate a [0, 1] fraction to a percentage with two decimals."""
     # the 1e-9 nudge absorbs binary representation error of decimal inputs
-    return math.floor(fraction * 100.0 * scale + 1e-9) / scale
+    return math.floor(fraction * 100.0 * 100 + 1e-9) / 100
 
 
 def format_triple(sp: float, se: float, score: float) -> str:

@@ -114,9 +114,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
@@ -233,27 +230,14 @@ def total_sum(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "sum")
 
 
-# -- linear algebra -------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; gradients dA = dC @ B^T, dB = A^T @ dC."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return Tensor._from_op(out, (a, b), backward, "matmul")
-
-
 # -- fused neural-net primitives -------------------------------------------------
 
+#: variance floor of every layer norm
+LN_EPS = 1e-5
 
-def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _ln_forward(x: np.ndarray, gamma: np.ndarray,
+                beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis: (output, xhat, 1/std), the last two for `_ln_backward`."""
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
@@ -262,7 +246,7 @@ def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         )
     # np.mean/np.var's own arithmetic (sum, then divide by the width), without their wrappers
     xhat = x - x.sum(axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / width + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / width + LN_EPS)
     xhat *= inv
     return xhat * gamma + beta, xhat, inv
 
@@ -278,12 +262,10 @@ def _ln_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
     return inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be > 0, got {eps}")
     gamma, beta = _wrap(gamma), _wrap(beta)
-    out, xhat, inv = _ln_forward(x.data, gamma.data, beta.data, eps)
+    out, xhat, inv = _ln_forward(x.data, gamma.data, beta.data)
 
     def backward(g):
         return _ln_backward(g, gamma.data, xhat, inv)

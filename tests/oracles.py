@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive (explicit loops, direct sums,
 scripted recurrences) and never calls the library paths it checks. The
-one exception is the unfused denoise block: it is the 11-node tape chain
-that the two fused sublayer nodes replaced, built from the library's
-unfused primitives, so that the fused forward can be required to be
-bit-identical to it. The resampling oracle is scipy's `resample_poly`,
-whose per-sample `upfirdn` loop the library's polyphase GEMMs replaced.
+exceptions are two unfused tape chains, built from the library's unfused
+primitives plus the generic `matmul` and `patchify` nodes kept here, so
+that the fused nodes can be required to be bit-identical to them: the
+11-node denoise block that the two fused sublayer nodes replaced, and
+the 4-node patch embedding that the fused `patch_embed` replaced. The
+resampling oracle is scipy's `resample_poly`, whose per-sample `upfirdn`
+loop the library's polyphase GEMMs replaced.
 The summed-batch loss is the one-graph training step that the streamed
 per-sample backward replaced. The direct hybrid loss is the value oracle
 for the fused heads + loss node. The direct layer norm, attention and
@@ -23,7 +25,9 @@ import math
 import numpy as np
 from scipy.signal import resample_poly
 
-from respden.tensor import Tensor, _check_finite, add, layer_norm, matmul, mul
+from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
+from respden.errors import ShapeError
+from respden.tensor import Tensor, _check_finite, add, layer_norm, mul
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,6 +42,36 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, l] * b[l, j]
             out[i, j] = acc
     return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product as a tape node; gradients dA = dC @ B^T, dB = A^T @ dC."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+
+    def backward(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return Tensor._from_op(out, (a, b), backward, "matmul")
+
+
+def patchify(x: Tensor) -> Tensor:
+    """Patch extraction as a tape node (gradient scatters back to the grid)."""
+    t, f = x.shape
+    out = extract_patches(x.data)
+
+    def backward(g):
+        blocks = g.reshape(N_TIME_PATCHES, N_FREQ_PATCHES, PATCH, PATCH).transpose(0, 2, 1, 3)
+        padded = blocks.reshape(N_TIME_PATCHES * PATCH, f)
+        return (padded[:t],)
+
+    return Tensor._from_op(out, (x,), backward, "patchify")
+
+
+def patch_embed_chain(x: Tensor, params) -> Tensor:
+    """Patch embedding as four tape nodes: patchify, matmul, add, add."""
+    return add(add(matmul(patchify(x), params.patch_w), params.patch_b), params.pos)
 
 
 def dft2_direct(x: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ from respden.errors import NumericError, ShapeError
 from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model, seed_stream
-from respden.tensor import Tensor, layer_norm, matmul, mul, total_sum
+from respden.tensor import Tensor, layer_norm, mul, total_sum
 
 from oracles import (
     attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct,
-    mhda_sublayer_direct, softmax_rows, swish_glu_direct,
+    mhda_sublayer_direct, patch_embed_chain, softmax_rows, swish_glu_direct,
 )
 
 
@@ -466,22 +466,22 @@ class TestTapeBudget:
         filter_forward(Tensor(rng.standard_normal((6, 8)), requires_grad=True), params)
         assert node_counts == {"filter_forward": 1}
 
-    # at the default config: filter 1, patch embedding 4 (patchify, matmul,
-    # two adds), 2 per block, final layer norm 1; the heads and the hybrid
-    # loss are 1 more for a training sample and none for a prediction
-    def test_default_model_predict_is_14_nodes(self, node_counts):
+    # at the default config: filter 1, patch embedding 1, 2 per block (4
+    # blocks), final layer norm 1; the heads and the hybrid loss are 1 more
+    # for a training sample and none for a prediction
+    def test_default_model_predict_is_11_nodes(self, node_counts):
         cfg = validate_config(RunConfig())
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.predict(np.random.default_rng(61).standard_normal((249, 64)))
-        assert sum(node_counts.values()) == 14, dict(node_counts)
-        assert node_counts["filter_forward"] == 1
+        assert sum(node_counts.values()) == 11, dict(node_counts)
+        assert node_counts["filter_forward"] == node_counts["patch_embed"] == 1
         assert node_counts["mhda"] == node_counts["swish_glu"] == cfg.layers
 
-    def test_default_model_sample_loss_is_15_nodes(self, node_counts):
+    def test_default_model_sample_loss_is_12_nodes(self, node_counts):
         cfg = validate_config(RunConfig())
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.sample_loss(np.random.default_rng(61).standard_normal((249, 64)), 2)
-        assert sum(node_counts.values()) == 15, dict(node_counts)
+        assert sum(node_counts.values()) == 12, dict(node_counts)
         assert node_counts["total_loss"] == 1
 
 
@@ -538,6 +538,30 @@ class TestPatchEmbed:
         total_sum(patch_embed(x, bb)).backward()
         # gradient of sum over tokens: each grid cell contributes via its patch row
         assert x.grad.shape == (249, 64) and np.abs(x.grad).max() > 0
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_constant"])
+    def test_fused_node_bit_equal_to_oracle_chain(self, x_grad):
+        rng = np.random.default_rng(18)
+        x_data = rng.standard_normal((249, 64))
+        w = rng.standard_normal((N_TOKENS, 96))
+        arrays = (rng.standard_normal((PATCH_DIM, 96)), rng.standard_normal(96),
+                  rng.standard_normal((N_TOKENS, 96)))
+        fused_bb, chain_bb = (BackboneParams(*(Tensor(a, requires_grad=True) for a in arrays),
+                                             [], None, None) for _ in range(2))
+        fused_x, chain_x = (Tensor(x_data, requires_grad=x_grad) for _ in range(2))
+        fused = patch_embed(fused_x, fused_bb)
+        chain = patch_embed_chain(chain_x, chain_bb)
+        assert np.array_equal(fused.data, chain.data)
+        if not x_grad:
+            assert fused._backward_fn(w)[0] is None
+        total_sum(mul(Tensor(w), fused)).backward()
+        total_sum(mul(Tensor(w), chain)).backward()
+        for name in ("patch_w", "patch_b", "pos"):
+            assert np.array_equal(getattr(fused_bb, name).grad, getattr(chain_bb, name).grad), name
+        if x_grad:
+            assert np.array_equal(fused_x.grad, chain_x.grad)
+        else:
+            assert fused_x.grad is None and chain_x.grad is None
 
     def test_patchify_covers_grid_exactly_once(self):
         values = np.arange(249 * 64, dtype=np.float64).reshape(249, 64)

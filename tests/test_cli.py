@@ -161,16 +161,26 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "mask_net" in err and "Traceback" not in err
 
-    # each overflows the parameters in the first Adam step, so the epoch's
+    # overflows the parameters in the first Adam step, so the epoch's
     # evaluation, not the step, meets the non-finite values
-    @pytest.mark.parametrize("flags", [["--lr", "1e300"], ["--lr", "inf"],
-                                       ["--weight-decay", "inf"]])
+    @pytest.mark.parametrize("flags", [["--lr", "1e300"]])
     def test_numeric_failure_in_epoch_evaluation_is_1(self, flags, tmp_path, capsys):
         code, _, err = run(["train", *flags, "--epochs", "1", "--train-per-class", "1",
                             "--test-per-class", "1", "--dim", "16", "--heads", "2",
                             "--layers", "1", "--out-dir", str(tmp_path / "run")], capsys)
         assert code == 1
         assert err.startswith("error:") and "epoch 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--lr", "inf"], ["--weight-decay", "inf"],
+                                       ["--alpha", "inf"]])
+    def test_non_finite_training_setting_is_2(self, flags, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, err = run(["train", *flags, "--epochs", "1", "--train-per-class", "1",
+                            "--test-per-class", "1", "--dim", "16", "--heads", "2",
+                            "--layers", "1", "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and flags[0][2:].replace("-", "_") in err
+        assert "Traceback" not in err and not out_dir.exists()
 
     @pytest.mark.parametrize("flags", [["--snr-hi", "inf"], ["--snr-lo=-inf"],
                                        ["--snr-lo=-1e308", "--snr-hi=1e308"]])

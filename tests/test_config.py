@@ -37,6 +37,12 @@ class TestValidation:
         with pytest.raises(UsageError, match="alpha"):
             parse_config({"alpha": -0.01})
 
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "alpha"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_training_setting(self, key, value):
+        with pytest.raises(UsageError, match=f"{key} must be finite"):
+            parse_config({key: value})
+
     def test_dim_head_divisibility(self):
         with pytest.raises(UsageError, match="dim"):
             parse_config({"dim": 30, "heads": 4})
