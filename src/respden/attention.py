@@ -18,8 +18,8 @@ pullback plus the residual identity.
   the heads merged back to (N, H * d_v), times `wo`, plus the input. It
   keeps the normalized tokens, head arrays, softmax maps, a and the merged
   heads. q, k, v and the scores are checked for NaN/Inf as they are made.
-* `swish_glu` keeps n = LN(y), a = n @ w1, the branch-free sigmoid of a,
-  n @ w2, the gate swish(a) and the gated product.
+* `swish_glu` keeps n = LN(y), a = n @ w1, the sigmoid e^min(a, 0) / (1 + e^-|a|)
+  of a, n @ w2, the gate swish(a) and the gated product.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     m = qh @ kh.swapaxes(-1, -2)
     m *= scale
     _check_finite(m, "mhda attention scores")
-    m -= m.max(axis=-1, keepdims=True)
+    m -= np.fmax.reduce(m, axis=-1, keepdims=True)  # finite: no NaN to propagate
     np.exp(m, out=m)
     m /= m.sum(axis=-1, keepdims=True)
     lam_h = lam.data.reshape(-1, 1, 1)
@@ -155,7 +155,8 @@ def swish_glu(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor, w3:
     ez = np.abs(a)
     np.negative(ez, out=ez)
     np.exp(ez, out=ez)
-    s = np.where(a >= 0, 1.0, ez)
+    s = np.minimum(a, 0.0)
+    np.exp(s, out=s)
     ez += 1.0
     s /= ez
     v = n @ w2.data

@@ -181,7 +181,8 @@ def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict
             )
         if not np.isfinite(stored).all():
             raise CheckpointError(f"checkpoint tensor '{name}' holds non-finite values")
-    extra = set(ckpt.params) - set(shapes)
+    extra = sorted(set(ckpt.params) - set(shapes))
     if extra:
-        raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)}")
+        names = ", ".join(map(repr, extra[:3])) + (", ..." if len(extra) > 3 else "")
+        raise CheckpointError(f"checkpoint has {len(extra)} unknown parameters: {names}")
     return {name: ckpt.params[name].astype(np.float64) for name in shapes}

@@ -40,7 +40,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {what}")
 
 
@@ -248,7 +248,9 @@ def _ln_forward(x: np.ndarray, gamma: np.ndarray,
     xhat = x - x.sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / width + LN_EPS)
     xhat *= inv
-    return xhat * gamma + beta, xhat, inv
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
 
 
 def _ln_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,

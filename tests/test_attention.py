@@ -179,7 +179,7 @@ class TestMhda:
         rng = np.random.default_rng(22)
         params = make_attn(rng, 8, 2)
         getattr(params, which).data[...] = 1e308
-        with pytest.raises(NumericError):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
             mhda(Tensor(rng.standard_normal((4, 8))), *identity_ln(8), params)
 
     def test_width_validation(self):
@@ -410,6 +410,34 @@ class TestKernelsBitEqualToDirectArithmetic:
         direct = swish_glu_direct(*(t.data for t in leaves.values()))
         self.assert_bit_equal(lambda: swish_glu(x, p.ln2_g, p.ln2_b, p.ffn_w1, p.ffn_w2, p.ffn_w3),
                               leaves, w, direct)
+
+    #: gate pre-activations at the sigmoid's sign edge and deep in both exp tails
+    SIGN_EDGE = (0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0, 1e3, -1e3)
+
+    @pytest.mark.parametrize("case", ["sign_edge", "random"])
+    def test_swish_glu_sigmoid_numerator(self, case):
+        # the kernel's numerator e^min(a, 0) against the oracle's np.where(a >= 0, 1, e^-|a|)
+        rng = np.random.default_rng(71)
+        d = 16
+        ln_g, w1 = rng.standard_normal(d), rng.standard_normal((d, 2 * d)) * 3
+        if case == "sign_edge":
+            # gamma = 0 and beta = 1 make n the ones row, so a = n @ w1 sums w1's
+            # columns: row 0 holds the edge values then random ones, the rest is 0
+            ln_g[:], w1[1:] = 0.0, 0.0
+            w1[0] = np.concatenate((self.SIGN_EDGE, rng.standard_normal(2 * d - 10) * 8))
+        leaves = {name: Tensor(arr, requires_grad=True) for name, arr in (
+            ("x", rng.standard_normal((8, d))), ("ln2.g", ln_g), ("ln2.b", np.ones(d)),
+            ("ffn.w1", w1), ("ffn.w2", rng.standard_normal((d, 2 * d))),
+            ("ffn.w3", rng.standard_normal((2 * d, d))))}
+        direct = swish_glu_direct(*(t.data for t in leaves.values()))
+        self.assert_bit_equal(lambda: swish_glu(*leaves.values()), leaves,
+                              Tensor(rng.standard_normal((8, d))), direct)
+        if case == "sign_edge":
+            # a matmul sums from +0.0, so no pre-activation is -0.0; the
+            # numerator's identity is checked there on the value itself
+            a = np.array(self.SIGN_EDGE)
+            assert np.array_equal(np.exp(np.minimum(a, 0.0)).view(np.int64),
+                                  np.where(a >= 0, 1.0, np.exp(-np.abs(a))).view(np.int64))
 
 
 class TestKernelMemory:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestRoundtrip:
 
     def test_file_is_header_plus_parameter_blocks(self, saved):
         model, _, path = saved
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         hlen = struct.unpack("<I", raw[8:12])[0]
         blocks = b"".join(block(name, p.data) for name, p in model.params.items())
         assert len(raw) == 12 + hlen + 4 + len(blocks)
@@ -65,7 +66,7 @@ class TestRoundtrip:
         model, adam, path = saved
         other = tmp_path / "ck2.bin"
         save_checkpoint(checkpoint_from_model(model, epoch=3, adam=adam), str(other))
-        assert other.read_bytes() == open(path, "rb").read()
+        assert other.read_bytes() == Path(path).read_bytes()
 
     def test_model_rebuilt_from_checkpoint(self, saved):
         model, _, path = saved
@@ -85,7 +86,7 @@ class TestRoundtrip:
 class TestAtomicSave:
     def test_failed_save_keeps_previous_file(self, saved, monkeypatch):
         model, _, path = saved
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         write_block = checkpoint_module._write_block
         written = []
 
@@ -98,14 +99,14 @@ class TestAtomicSave:
         monkeypatch.setattr(checkpoint_module, "_write_block", failing_write_block)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(checkpoint_from_model(model, epoch=9), path)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
 class TestCorruption:
     def test_bad_magic(self, saved, tmp_path):
         _, _, path = saved
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"NOPE"
         bad = tmp_path / "bad.bin"
         bad.write_bytes(raw)
@@ -114,7 +115,7 @@ class TestCorruption:
 
     def test_version_mismatch(self, saved, tmp_path):
         _, _, path = saved
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = (99).to_bytes(4, "little")
         bad = tmp_path / "bad.bin"
         bad.write_bytes(raw)
@@ -123,7 +124,7 @@ class TestCorruption:
 
     def test_truncated_block(self, saved, tmp_path):
         _, _, path = saved
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         bad = tmp_path / "bad.bin"
         bad.write_bytes(raw[: len(raw) - 37])
         with pytest.raises(TruncatedError):
@@ -132,7 +133,7 @@ class TestCorruption:
     def test_trailing_garbage(self, saved, tmp_path):
         _, _, path = saved
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(open(path, "rb").read() + b"x")
+        bad.write_bytes(Path(path).read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(str(bad))
 
@@ -157,7 +158,9 @@ class TestCorruption:
                                    b"".join(block(n, a) for n, a in blocks), len(blocks)))
         assert main(["eval", "--checkpoint", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "unknown parameters" in err and "'adam.m:pos'" in err
+        # one line naming the count and the first few names, not all 2 * len(params)
+        assert err.startswith("error:") and f"has {2 * len(params)} unknown parameters" in err
+        assert "'adam.m:aff.b1'" in err and len(err) < 300
 
     def test_errors_are_distinct_types(self):
         assert BadMagicError is not VersionError is not TruncatedError

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestTrainEvalCommands:
         assert code == 0, err
         assert os.path.exists(os.path.join(out_dir, "checkpoint.bin"))
         log_path = os.path.join(out_dir, "metrics.jsonl")
-        lines = open(log_path).read().strip().split("\n")
+        lines = Path(log_path).read_text(encoding="utf-8").strip().split("\n")
         assert json.loads(lines[0])["type"] == "header"
         assert len(lines) == 2  # header + one epoch
 
@@ -157,7 +158,8 @@ class TestExitCodes:
         ckpt.params["aff.w1"][...] = 1e306  # finite, but the mask net overflows on any clip
         path = tmp_path / "huge.bin"
         save_checkpoint(ckpt, str(path))
-        code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
+        with np.errstate(over="ignore"):
+            code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
         assert code == 1
         assert err.startswith("error:") and "mask_net" in err and "Traceback" not in err
 
@@ -165,9 +167,10 @@ class TestExitCodes:
     # evaluation, not the step, meets the non-finite values
     @pytest.mark.parametrize("flags", [["--lr", "1e300"]])
     def test_numeric_failure_in_epoch_evaluation_is_1(self, flags, tmp_path, capsys):
-        code, _, err = run(["train", *flags, "--epochs", "1", "--train-per-class", "1",
-                            "--test-per-class", "1", "--dim", "16", "--heads", "2",
-                            "--layers", "1", "--out-dir", str(tmp_path / "run")], capsys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(["train", *flags, "--epochs", "1", "--train-per-class", "1",
+                                "--test-per-class", "1", "--dim", "16", "--heads", "2",
+                                "--layers", "1", "--out-dir", str(tmp_path / "run")], capsys)
         assert code == 1
         assert err.startswith("error:") and "epoch 0" in err and "Traceback" not in err
 
@@ -225,7 +228,8 @@ class TestExitCodes:
         code, _, err = run(["train", "--config", str(cfg_file), "--epochs", "1",
                             "--out-dir", out_dir, *TINY], capsys)
         assert code == 0, err
-        header = json.loads(open(os.path.join(out_dir, "metrics.jsonl")).readline())
+        log = Path(out_dir, "metrics.jsonl").read_text(encoding="utf-8")
+        header = json.loads(log.split("\n", 1)[0])
         assert header["config"]["epochs"] == 1  # flag wins
         assert header["config"]["batch"] == 4   # TINY flag wins over file
 

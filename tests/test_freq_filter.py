@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import respden.freq_filter as freq_filter_module
+from respden.audio import AudioClip, Label, preprocess
+from respden.config import RunConfig
+from respden.datasets import TARGET_RATE, synth_clip
 from respden.errors import NumericError, ShapeError
 from respden.fourier import fft2
 from respden.freq_filter import (
     MASK_BLOCK, FilterParams, filter_forward, mask_net, reference_filter, symmetrize,
 )
 from respden.gradcheck import check_loss_gradients
+from respden.model import Model
 from respden.tensor import Tensor, mul, soft_shrink, total_sum
 
 from oracles import filter_direct, pointwise_mask_mlp, pointwise_mask_mlp_grads
@@ -346,3 +351,60 @@ class TestFusedMatchesReference:
     def test_non_2d_input_rejected(self):
         with pytest.raises(ShapeError):
             filter_forward(Tensor(np.zeros(8)), rigged_params(bias_out=1.0))
+
+
+class TestHiddenLayerBound:
+    """The mask MLP scans its hidden layer per block only when the magnitude
+    bound max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| is not below 1e300."""
+
+    @staticmethod
+    def count_hidden_checks(monkeypatch) -> list[int]:
+        """Rows of every hidden-layer block scanned for NaN/Inf, one entry per scan."""
+        rows, check = [], freq_filter_module._check_finite
+
+        def counting(arr, what):
+            if what == "mask_net hidden layer":
+                rows.append(len(arr))
+            check(arr, what)
+
+        monkeypatch.setattr(freq_filter_module, "_check_finite", counting)
+        return rows
+
+    @staticmethod
+    def default_case():
+        """Default-init AFF parameters and the log-mel spectrogram of a synth cycle."""
+        clip = synth_clip(np.random.default_rng(80), Label.BOTH, (5.0, 10.0))
+        spec = preprocess(AudioClip(clip, TARGET_RATE, Label.BOTH, "s")).values
+        return Tensor(spec), Model(RunConfig()).filter_params()
+
+    def test_default_model_scans_no_block(self, monkeypatch):
+        x, params = self.default_case()
+        rows = self.count_hidden_checks(monkeypatch)
+        filter_forward(x, params)
+        assert rows == []
+
+    def test_failed_bound_scans_every_block_and_keeps_the_bits(self, monkeypatch):
+        x, params = self.default_case()
+        # w2[0] = 0 takes unit 0 out of the mask, 0 * relu(h) = +0, whatever its w1
+        params.w2.data[0, 0] = 0.0
+        want = filter_forward(x, params).data
+        # max|re| is about 7e4: the bound is about 7e304, every pre-activation finite
+        params.w1.data[0, 0] = 1e300
+        rows = self.count_hidden_checks(monkeypatch)
+        got = filter_forward(x, params).data
+        n = 2 * x.shape[0] * (x.shape[1] // 2 + 1)
+        assert len(rows) == -(-n // MASK_BLOCK) and sum(rows) == n
+        assert np.array_equal(got, want)
+
+    def test_minus_inf_preactivation_that_relu_would_zero_raises(self):
+        # only the DC rows' first unit, 48 * -1e308, is -inf, and relu maps it to 0
+        params = random_params(np.random.default_rng(81))
+        params.w1.data[0, 0] = -1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="hidden layer"):
+            filter_forward(Tensor(np.ones((6, 8))), params)
+
+    def test_nan_first_layer_weight_raises(self):
+        params = random_params(np.random.default_rng(82))
+        params.w1.data[1, 2] = np.nan
+        with pytest.raises(NumericError, match="hidden layer"):
+            filter_forward(Tensor(np.random.default_rng(83).standard_normal((6, 8))), params)

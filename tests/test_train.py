@@ -143,7 +143,7 @@ class TestTraining:
             return model
 
         monkeypatch.setattr(train_mod, "Model", poisoned)
-        with pytest.raises(TrainingError, match="epoch 0 step 0"):
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="epoch 0 step 0"):
             train(tiny_cfg())
 
     def test_zero_epochs_equals_initialization(self):
