@@ -12,7 +12,9 @@ filterbank once per process, from `DEFAULT_SPEC_CONFIG`.
 
 Resampling computes the windowed-sinc sums of `scipy.signal.resample_poly`
 with its default Kaiser design as a few polyphase GEMMs per clip (see
-`_Polyphase`). They sum in another order, so outputs agree with
+`_Polyphase`). The design is computed here (`_kaiser_lowpass`), bitwise
+equal to `firwin`'s, so importing the package does not import
+`scipy.signal`. The GEMMs sum in another order, so outputs agree with
 `resample_poly` to within 1e-13 * max|x| rather than bitwise; they do not
 depend on the BLAS thread count. The design grows with the source rate,
 which `wavio.MAX_SAMPLE_RATE` (192 kHz) bounds.
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 from scipy.sparse import csr_array
+from scipy.special import i0
 
 from .errors import ShapeError
 
@@ -173,6 +175,14 @@ class _Polyphase:
         return out.reshape(-1)[:n_out]
 
 
+def _kaiser_lowpass(numtaps: int, cutoff: float) -> np.ndarray:
+    """`firwin(numtaps, cutoff, window=("kaiser", 5.0))` in firwin's own arithmetic."""
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    h *= i0(5.0 * np.sqrt(1 - (m / (0.5 * (numtaps - 1))) ** 2.0)) / i0(5.0)
+    return h / np.sum(h)
+
+
 @functools.lru_cache(maxsize=4)
 def _polyphase(up: int, down: int) -> _Polyphase:
     """The design for one coprime (up, down), with `resample_poly`'s default filter.
@@ -185,7 +195,7 @@ def _polyphase(up: int, down: int) -> _Polyphase:
     m = max(up, down)
     half = 10 * m
     pad = down - half % down
-    h = np.concatenate((np.zeros(pad), firwin(2 * half + 1, 1.0 / m, window=("kaiser", 5.0)) * up))
+    h = np.concatenate((np.zeros(pad), _kaiser_lowpass(2 * half + 1, 1.0 / m) * up))
     k = np.arange(math.lcm(up, _GROUP))
     newest, phase = divmod((k + (half + pad) // down) * down, up)
     lo = (newest - (h.size - 1 - phase) // up).reshape(-1, _GROUP).min(axis=1)
@@ -254,7 +264,7 @@ def fix_length(clip: AudioClip) -> AudioClip:
 
 def normalize_amplitude(clip: AudioClip) -> AudioClip:
     """Peak normalization; an all-zero clip is returned unchanged."""
-    peak = np.abs(clip.samples).max()
+    peak = max(clip.samples.max(), -clip.samples.min())  # = max|x| without an |x| copy
     if peak == 0.0:
         return clip
     return AudioClip(clip.samples / peak, clip.sample_rate, clip.label, clip.subject_id)
@@ -303,6 +313,9 @@ _WINDOW = _read_only(_hann_periodic(DEFAULT_SPEC_CONFIG.n_fft))
 #: nonzero, and the sparse product sums each band's bins in one fixed
 #: order, so the features do not depend on the BLAS thread count
 _MEL_BANK = _read_only_csr(mel_filterbank())
+#: frames per STFT block: a block's frames, spectrum and power stay in cache,
+#: and row FFTs and the sparse sums do not depend on the block size
+STFT_BLOCK = 32
 
 
 def mel_spectrogram(clip: AudioClip) -> Spectrogram:
@@ -317,9 +330,19 @@ def mel_spectrogram(clip: AudioClip) -> Spectrogram:
     frames = np.lib.stride_tricks.as_strided(
         clip.samples, shape=(N_FRAMES, cfg.n_fft), strides=(cfg.hop * stride, stride)
     )
-    power = np.abs(np.fft.rfft(frames * _WINDOW, axis=1)) ** 2
-    mel = np.ascontiguousarray((_MEL_BANK @ power.T).T)
-    return Spectrogram(np.log(mel + cfg.log_floor), frame_rate=cfg.sample_rate / cfg.hop)
+    n_bins = cfg.n_fft // 2 + 1
+    windowed = np.empty((STFT_BLOCK, cfg.n_fft))
+    spectrum = np.empty((STFT_BLOCK, n_bins), dtype=np.complex128)
+    power = np.empty((STFT_BLOCK, n_bins))
+    mel = np.empty((N_FRAMES, cfg.n_mels))
+    for lo in range(0, N_FRAMES, STFT_BLOCK):
+        n = min(STFT_BLOCK, N_FRAMES - lo)
+        np.multiply(frames[lo : lo + n], _WINDOW, out=windowed[:n])
+        np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+        np.square(np.abs(spectrum[:n], out=power[:n]), out=power[:n])
+        mel[lo : lo + n] = (_MEL_BANK @ power[:n].T).T
+    mel += cfg.log_floor
+    return Spectrogram(np.log(mel, out=mel), frame_rate=cfg.sample_rate / cfg.hop)
 
 
 def preprocess(clip: AudioClip) -> Spectrogram:

@@ -23,7 +23,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
 from respden.errors import ShapeError
@@ -365,6 +365,17 @@ def resample_poly_oracle(x: np.ndarray, rate: int, target: int = 16000) -> np.nd
     """`resample_poly` with its default Kaiser-windowed design, cut to round(n * target / rate)."""
     g = math.gcd(rate, target)
     return resample_poly(x, target // g, rate // g)[: round(x.size * target / rate)]
+
+
+def kaiser_lowpass_firwin(numtaps: int, cutoff: float) -> np.ndarray:
+    """`resample_poly`'s default anti-aliasing design, by `firwin` itself."""
+    return firwin(numtaps, cutoff, window=("kaiser", 5.0))
+
+
+def normalize_by_abs_peak(x: np.ndarray) -> np.ndarray:
+    """Peak normalization with the peak taken from an |x| copy."""
+    peak = np.abs(x).max()
+    return x if peak == 0.0 else x / peak
 
 
 def dft_frame_direct(frame: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Preprocessing pipeline: resampling, length fixing, normalization, mel."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,14 @@ from respden.audio import (
 )
 from respden.errors import ShapeError
 
-from oracles import dft_frame_direct, dft_peak_hz, mel_spectrogram_per_call, resample_poly_oracle
+from oracles import (
+    dft_frame_direct,
+    dft_peak_hz,
+    kaiser_lowpass_firwin,
+    mel_spectrogram_per_call,
+    normalize_by_abs_peak,
+    resample_poly_oracle,
+)
 
 
 RATES = [4000, 8000, 10000, 22050, 44100, 48000, 44101]
@@ -44,6 +53,39 @@ print(json.dumps(digest.hexdigest()))
 
 def make_clip(samples, rate=16000, label=Label.NORMAL):
     return AudioClip(np.asarray(samples, dtype=np.float64), rate, label, "subj")
+
+
+def up_down(rate):
+    g = math.gcd(16000, rate)
+    return 16000 // g, rate // g
+
+
+class TestColdStart:
+    def test_import_does_not_load_scipy_signal(self, run_with_blas_threads):
+        script = ("import json, sys\nimport respden, respden.cli\n"
+                  "print(json.dumps('scipy.signal' in sys.modules))")
+        assert run_with_blas_threads(script, 1) is False
+
+
+class TestFilterDesign:
+    @pytest.mark.parametrize("rate", RATES)
+    def test_kaiser_lowpass_is_bit_equal_to_firwin(self, rate):
+        m = max(up_down(rate))
+        assert np.array_equal(audio._kaiser_lowpass(20 * m + 1, 1.0 / m),
+                              kaiser_lowpass_firwin(20 * m + 1, 1.0 / m))
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_polyphase_taps_are_bit_equal_to_a_firwin_design(self, rate, monkeypatch):
+        up, down = up_down(rate)
+        audio._polyphase.cache_clear()
+        try:
+            ours = audio._polyphase(up, down).taps
+            monkeypatch.setattr(audio, "_kaiser_lowpass", kaiser_lowpass_firwin)
+            audio._polyphase.cache_clear()
+            theirs = audio._polyphase(up, down).taps
+        finally:
+            audio._polyphase.cache_clear()
+        assert ours is not theirs and np.array_equal(ours, theirs)
 
 
 class TestResample:
@@ -209,6 +251,17 @@ class TestNormalizeAmplitude:
         b = normalize_amplitude(make_clip(2.5 * x)).samples
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(9).uniform(-1, 1, 500),
+        np.random.default_rng(10).uniform(-1, 0.5, 500),
+        np.zeros(100),
+        np.full(100, -0.0),
+        np.array([0.25, np.nan, -0.5]),
+    ], ids=["random", "negative-peak", "zeros", "negative-zeros", "nan"])
+    def test_bit_equal_to_abs_peak_form(self, x):
+        got = normalize_amplitude(make_clip(x)).samples
+        assert got.tobytes() == normalize_by_abs_peak(x).tobytes()
+
 
 class TestMelSpectrogram:
     def test_output_shape_is_249x64(self):
@@ -253,6 +306,27 @@ class TestMelSpectrogram:
         x = np.random.default_rng(seed).uniform(-1, 1, TARGET_SAMPLES)
         np.testing.assert_array_equal(mel_spectrogram(make_clip(x)).values,
                                       mel_spectrogram_per_call(x))
+
+    @pytest.mark.parametrize("view", [np.s_[::2], np.s_[TARGET_SAMPLES - 1::-1]],
+                             ids=["every-second", "reversed"])
+    def test_bit_equal_to_per_call_oracle_on_strided_views(self, view):
+        # the frames of a strided view cross 7 full STFT blocks and a ragged one
+        x = np.random.default_rng(11).uniform(-1, 1, 2 * TARGET_SAMPLES)[view]
+        assert x.size == TARGET_SAMPLES and not x.flags.c_contiguous
+        np.testing.assert_array_equal(mel_spectrogram(make_clip(x)).values,
+                                      mel_spectrogram_per_call(x))
+
+    def test_peak_traced_heap_of_one_call(self):
+        # blocks of 32 frames measured 912 KB, most of it the three block
+        # buffers and the output; the whole-clip temporaries took 3990 KB
+        clip = make_clip(np.random.default_rng(12).uniform(-1, 1, TARGET_SAMPLES))
+        tracemalloc.start()
+        try:
+            mel_spectrogram(clip)
+            peak_kb = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+        assert peak_kb <= 1100
 
     @pytest.mark.parametrize("name", ["_WINDOW"])
     def test_analysis_constants_are_read_only(self, name):
