@@ -5,43 +5,46 @@ Run:  python demos/01_tensor_autodiff.py
 
 import numpy as np
 
-from respden.tensor import Tensor, layer_norm, mul, total_sum
+from respden.tensor import Tensor, layer_norm
 
 rng = np.random.default_rng(0)
 
-# A tiny computation: z = sum(targets * (x * w)^2), with the row w broadcast over x's rows
-x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-w = Tensor(rng.standard_normal(3), requires_grad=True)
-targets = Tensor(rng.random((2, 3)))
+# One fused tape node: y = layer_norm(x) * gamma + beta over the last axis.
+x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+gamma = Tensor(np.ones(3), requires_grad=True)
+beta = Tensor(np.zeros(3), requires_grad=True)
+y = layer_norm(x, gamma, beta)
+print("y =\n", y.data)
 
-h = mul(x, w)
-z = total_sum(mul(targets, mul(h, h)))
-z.backward()
-print("z =", z.item())
-print("dz/dx:\n", x.grad)
-print("matches 2 targets * h * w:", np.allclose(x.grad, 2 * targets.data * h.data * w.data))
-# the broadcast is undone in the backward: w's gradient sums over the rows it was copied to
-print("dz/dw =", w.grad, " matches the row sum:",
-      np.allclose(w.grad, (2 * targets.data * h.data * x.data).sum(axis=0)))
+# backward(seed) takes the cotangent of a non-scalar output: the gradients
+# are those of the scalar sum(weights * y), without a node for the sum.
+weights = rng.standard_normal((4, 3))
+y.backward(weights)
+print("d sum(weights * y) / d beta =", beta.grad, " matches the column sums of weights:",
+      np.allclose(beta.grad, weights.sum(axis=0)))
 
-# Gradients accumulate additively when a tensor is used twice.
-a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-total_sum(a + a).backward()
-print("d(sum(a+a))/da =", a.grad, " (two uses -> twice the ones vector)")
+# Gradients accumulate across backward calls, as a streamed batch does: each
+# sample's graph is built, seeded with half the weights and freed before the next.
+samples = [rng.standard_normal((4, 3)) for _ in range(2)]
+separate = []
+for s in samples:
+    gamma.zero_grad()
+    layer_norm(Tensor(s), gamma, beta).backward(weights)
+    separate.append(gamma.grad.copy())
+gamma.zero_grad()
+for s in samples:
+    layer_norm(Tensor(s), gamma, beta).backward(0.5 * weights)
+print("d gamma of the 2-sample mean =", gamma.grad, " matches the mean of the two:",
+      np.allclose(gamma.grad, 0.5 * (separate[0] + separate[1])))
 
 # Central finite differences agree with the backward pass.
-g = Tensor(np.ones(3), requires_grad=True)
-b = Tensor(np.zeros(3), requires_grad=True)
-x2 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-weights = Tensor(rng.standard_normal((4, 3)))
-
 def loss_value():
-    return total_sum(mul(weights, layer_norm(x2, g, b))).item()
+    return float(np.sum(weights * layer_norm(x, gamma, beta).data))
 
-x2.zero_grad()
-total_sum(mul(weights, layer_norm(x2, g, b))).backward()
+x.zero_grad()
+layer_norm(x, gamma, beta).backward(weights)
 h = 1e-6
-flat = x2.data.reshape(-1)
+flat = x.data.reshape(-1)
 idx = 5
 orig = flat[idx]
 flat[idx] = orig + h
@@ -50,4 +53,4 @@ flat[idx] = orig - h
 down = loss_value()
 flat[idx] = orig
 fd = (up - down) / (2 * h)
-print(f"layer_norm grad check at one entry: analytic={x2.grad.reshape(-1)[idx]:.8f} fd={fd:.8f}")
+print(f"layer_norm grad check at one entry: analytic={x.grad.reshape(-1)[idx]:.8f} fd={fd:.8f}")

@@ -19,8 +19,7 @@ from .audio import (
 )
 from .config import RunConfig, parse_config
 from .datasets import DatasetManifest, SynthConfig, build_synth, load_dataset, write_synth
-from .fourier import fft2, ifft2
-from .freq_filter import FilterParams, filter_forward, mask_net
+from .freq_filter import FilterParams, filter_forward
 from .attention import (
     BackboneParams,
     BlockParams,
@@ -35,7 +34,7 @@ from .losses import HeadParams, smoothed_target, total_loss
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
 from .model import Model, init_params, seed_stream
 from .optim import AdamState, adam_step
-from .tensor import Tensor, layer_norm, no_grad, soft_shrink
+from .tensor import Tensor, layer_norm, no_grad
 from .train import evaluate_split, prepare_data, train
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ under additive noise; they are not meant to mimic true lung acoustics.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -80,6 +81,9 @@ def parse_annotation_file(path: str) -> list[tuple[float, float, Label]]:
             crackle, wheeze = int(cols[2]), int(cols[3])
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
+        if not (math.isfinite(start) and math.isfinite(end)) or start < 0:
+            raise DatasetError(f"{path}:{lineno}: cycle times must be finite and >= 0, "
+                               f"got start {start}, end {end}")
         if end <= start:
             raise DatasetError(f"{path}:{lineno}: cycle end {end} <= start {start}")
         if crackle not in (0, 1) or wheeze not in (0, 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, mul
+from .tensor import Tensor
 
 #: largest |imaginary residue| accepted when inverting a spectrum that is
 #: claimed to come from a real signal
@@ -69,4 +69,9 @@ def ifft2(spectrum: Tensor) -> Tensor:
 
 def scale_complex(spectrum: Tensor, mask: Tensor) -> Tensor:
     """Multiply a real T x F mask elementwise into both parts of a (2, T, F) spectrum."""
-    return mul(mask, spectrum)
+
+    def backward(g):
+        return ((g * spectrum.data).sum(axis=0) if mask.requires_grad else None,
+                g * mask.data if spectrum.requires_grad else None)
+
+    return Tensor._from_op(mask.data * spectrum.data, (mask, spectrum), backward, "scale_complex")

@@ -1,6 +1,7 @@
 """Central finite-difference verification of every gradient rule.
 
-Each check rebuilds a scalar loss from scratch, perturbs one parameter
+Each check rebuilds the checked output from scratch, reduces it to a scalar
+with a fixed cotangent (sum(cotangent * output)), perturbs one parameter
 entry at a time by +/- step and +/- step/2, and compares the
 Richardson-extrapolated centered difference, (4 D(step/2) - D(step)) / 3,
 with the accumulated analytic gradient; the extrapolation removes the
@@ -23,7 +24,7 @@ from .config import RunConfig, validate_config
 from .freq_filter import FilterParams, filter_forward
 from .losses import HeadParams, total_loss
 from .model import Model, seed_stream
-from .tensor import Tensor, layer_norm, mul, no_grad, soft_shrink, total_sum
+from .tensor import Tensor, layer_norm, no_grad, soft_shrink
 
 FD_STEP = 1e-3
 OP_TOL = 1e-4
@@ -46,36 +47,49 @@ def rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
 
 
-def _central_difference(loss_fn: Callable[[], Tensor], flat: np.ndarray, idx: int,
+def _central_difference(objective: Callable[[], float], flat: np.ndarray, idx: int,
                         h: float) -> float:
     """(L(x + h e_idx) - L(x - h e_idx)) / 2h, restoring entry `idx` afterwards."""
     orig = flat[idx]
     flat[idx] = orig + h
-    up = loss_fn().item()
+    up = objective()
     flat[idx] = orig - h
-    down = loss_fn().item()
+    down = objective()
     flat[idx] = orig
     return (up - down) / (2.0 * h)
 
 
 def check_loss_gradients(
-    loss_fn: Callable[[], Tensor],
+    fn: Callable[[], Tensor | list[Tensor]],
     params: dict[str, Tensor],
     step: float = FD_STEP,
     tol: float = OP_TOL,
     max_entries: int | None = None,
     rng: np.random.Generator | None = None,
+    cotangent=None,
 ) -> list[CheckRow]:
-    """Compare analytic gradients of `loss_fn` with extrapolated central differences.
+    """Compare analytic gradients of `fn` with extrapolated central differences.
 
-    `loss_fn` must rebuild the graph on every call from the live `params`
-    tensors. With `max_entries`, at most that many entries per parameter
-    are probed (seeded sample); smaller tensors are probed exhaustively.
+    `fn` must rebuild the graph on every call from the live `params`
+    tensors. It returns one output, or a list of separately built graphs'
+    outputs; each is backpropagated on its own, seeded with `cotangent`
+    (None: each output is a scalar loss, seeded with 1), and the probed
+    objective is the sum over outputs of sum(cotangent * output). With
+    `max_entries`, at most that many entries per parameter are probed
+    (seeded sample); smaller tensors are probed exhaustively.
     """
+    def outputs() -> list[Tensor]:
+        out = fn()
+        return [out] if isinstance(out, Tensor) else out
+
+    def objective() -> float:
+        return sum(out.item() if cotangent is None else float(np.sum(cotangent * out.data))
+                   for out in outputs())
+
     for p in params.values():
         p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
+    for out in outputs():
+        out.backward(cotangent)
     analytic = {name: p.grad.copy() for name, p in params.items()}
 
     rows = []
@@ -92,16 +106,16 @@ def check_loss_gradients(
         with no_grad():
             for idx in entries:
                 # Richardson extrapolation cancels the O(h^2) truncation term
-                fd = (4.0 * _central_difference(loss_fn, flat, idx, step / 2)
-                      - _central_difference(loss_fn, flat, idx, step)) / 3.0
+                fd = (4.0 * _central_difference(objective, flat, idx, step / 2)
+                      - _central_difference(objective, flat, idx, step)) / 3.0
                 worst = max(worst, rel_err(analytic[name].reshape(-1)[idx], fd))
         rows.append(CheckRow(name, worst, len(entries), tol))
     return rows
 
 
-def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
-    """Reduce an op output to a scalar with a fixed random weighting."""
-    return total_sum(mul(Tensor(rng.standard_normal(out.shape)), out))
+def _weights(shape: tuple[int, ...], seed: int) -> np.ndarray:
+    """A fixed random cotangent that reduces an op output to a scalar."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 def per_op_suite(seed: int = 0) -> list[CheckRow]:
@@ -116,24 +130,25 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     rows: list[CheckRow] = []
     rng = np.random.default_rng(seed)
 
-    def check(name, loss_fn, params, tol=OP_TOL):
+    def check(name, fn, params, cotangent=None, tol=OP_TOL):
         rows.extend(
             CheckRow(f"{name}.{r.name}", r.max_rel_err, r.n_checked, tol)
-            for r in check_loss_gradients(loss_fn, params, tol=tol)
+            for r in check_loss_gradients(fn, params, tol=tol, cotangent=cotangent)
         )
 
     # 18 spectrogram rows span a full and a zero-padded partial time block
     x_pe = Tensor(rng.standard_normal((18, 64)), requires_grad=True)
     emb = BackboneParams(*(Tensor(rng.standard_normal(shape), requires_grad=True)
                            for shape in ((PATCH_DIM, 2), (2,), (N_TOKENS, 2))), [], None, None)
-    check("patch_embed", lambda: _weighted_sum(patch_embed(x_pe, emb), np.random.default_rng(7)),
-          {"x": x_pe, "W": emb.patch_w, "b": emb.patch_b, "pos": emb.pos})
+    check("patch_embed", lambda: patch_embed(x_pe, emb),
+          {"x": x_pe, "W": emb.patch_w, "b": emb.patch_b, "pos": emb.pos},
+          _weights((N_TOKENS, 2), 7))
 
     x_ln = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
     g_ln = Tensor(rng.standard_normal(5), requires_grad=True)
     b_ln = Tensor(rng.standard_normal(5), requires_grad=True)
-    check("layer_norm", lambda: _weighted_sum(layer_norm(x_ln, g_ln, b_ln), np.random.default_rng(10)),
-          {"x": x_ln, "gamma": g_ln, "beta": b_ln})
+    check("layer_norm", lambda: layer_norm(x_ln, g_ln, b_ln),
+          {"x": x_ln, "gamma": g_ln, "beta": b_ln}, _weights((2, 5), 10))
 
     x_gl = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     g_gl = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -141,16 +156,15 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     w1 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     w2 = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    check("swish_glu",
-          lambda: _weighted_sum(swish_glu(x_gl, g_gl, b_gl, w1, w2, w3), np.random.default_rng(11)),
-          {"x": x_gl, "ln.g": g_gl, "ln.b": b_gl, "w1": w1, "w2": w2, "w3": w3})
+    check("swish_glu", lambda: swish_glu(x_gl, g_gl, b_gl, w1, w2, w3),
+          {"x": x_gl, "ln.g": g_gl, "ln.b": b_gl, "w1": w1, "w2": w2, "w3": w3},
+          _weights((2, 4), 11))
 
     # keep probe points away from the |x| = alpha kink (step is 1e-3)
     raw = rng.standard_normal((3, 4))
     raw = np.where(np.abs(np.abs(raw) - 0.5) < 0.05, raw + 0.2, raw)
     x_sh = Tensor(raw, requires_grad=True)
-    check("soft_shrink", lambda: _weighted_sum(soft_shrink(x_sh, 0.5), np.random.default_rng(12)),
-          {"x": x_sh})
+    check("soft_shrink", lambda: soft_shrink(x_sh, 0.5), {"x": x_sh}, _weights((3, 4), 12))
 
     # fft2 -> fixed real mask -> ifft2 chain; the mask must be even-symmetric
     # for the inverse to be real
@@ -158,13 +172,12 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     raw_mask = rng.standard_normal((4, 5))
     sym_mask = 0.5 * (raw_mask + raw_mask[np.ix_((-np.arange(4)) % 4, (-np.arange(5)) % 5)])
 
-    def fourier_loss():
+    def fourier_chain():
         from .fourier import fft2, ifft2, scale_complex
 
-        return _weighted_sum(ifft2(scale_complex(fft2(x_f), Tensor(sym_mask))),
-                             np.random.default_rng(13))
+        return ifft2(scale_complex(fft2(x_f), Tensor(sym_mask)))
 
-    check("fourier_chain", fourier_loss, {"x": x_f})
+    check("fourier_chain", fourier_chain, {"x": x_f}, _weights((4, 5), 13))
 
     # the attention sublayer, x + attention(LN(x)), and one full block
     d_model, heads = 8, 2
@@ -177,9 +190,9 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     g_at = Tensor(1.0 + 0.3 * rng.standard_normal(d_model), requires_grad=True)
     b_at = Tensor(0.3 * rng.standard_normal(d_model), requires_grad=True)
     attn = MhdaParams(wq, wk, wv, wo, lam, heads)
-    check("mhda", lambda: _weighted_sum(mhda(x_at, g_at, b_at, attn), np.random.default_rng(14)),
+    check("mhda", lambda: mhda(x_at, g_at, b_at, attn),
           {"x": x_at, "ln.g": g_at, "ln.b": b_at, "wq": wq, "wk": wk, "wv": wv, "wo": wo,
-           "lam": lam}, tol=MODEL_TOL)
+           "lam": lam}, _weights((4, d_model), 14), tol=MODEL_TOL)
 
     blk = BlockParams(
         g_at, b_at, attn,
@@ -188,10 +201,10 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
         Tensor(rng.standard_normal((d_model, 2 * d_model)) * 0.3, requires_grad=True),
         Tensor(rng.standard_normal((2 * d_model, d_model)) * 0.3, requires_grad=True),
     )
-    check("block", lambda: _weighted_sum(denoise_block(x_at, blk), np.random.default_rng(15)),
+    check("block", lambda: denoise_block(x_at, blk),
           {"x": x_at, "ln1.g": blk.ln1_g, "ln1.b": blk.ln1_b, "wq": wq, "wk": wk, "wv": wv,
            "wo": wo, "lam": lam, "ln2.g": blk.ln2_g, "ln2.b": blk.ln2_b, "ffn.w1": blk.ffn_w1,
-           "ffn.w2": blk.ffn_w2, "ffn.w3": blk.ffn_w3}, tol=MODEL_TOL)
+           "ffn.w2": blk.ffn_w2, "ffn.w3": blk.ffn_w3}, _weights((4, d_model), 15), tol=MODEL_TOL)
 
     # the instance-adaptive frequency filter end to end; weight scales keep
     # every rectifier preactivation (offset 0.5) out of reach of the probes
@@ -201,13 +214,14 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     fb2 = Tensor(np.ones(1), requires_grad=True)
     x_af = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
     fp = FilterParams(fw1, fb1, fw2, fb2, alpha=0.02)
-    check("freq_filter", lambda: _weighted_sum(filter_forward(x_af, fp), np.random.default_rng(16)),
-          {"x": x_af, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, tol=MODEL_TOL)
+    check("freq_filter", lambda: filter_forward(x_af, fp),
+          {"x": x_af, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, _weights((6, 8), 16),
+          tol=MODEL_TOL)
     # odd F: the half plane has no self-conjugate v = F/2 column
     x_odd = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
-    check("freq_filter.odd_f",
-          lambda: _weighted_sum(filter_forward(x_odd, fp), np.random.default_rng(17)),
-          {"x": x_odd, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, tol=MODEL_TOL)
+    check("freq_filter.odd_f", lambda: filter_forward(x_odd, fp),
+          {"x": x_odd, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, _weights((7, 5), 17),
+          tol=MODEL_TOL)
 
     # both heads and the hybrid loss; beta = 0 leaves the plain cross-entropy
     p_feat = Tensor(rng.standard_normal((5, d_model)), requires_grad=True)
@@ -231,9 +245,9 @@ def composed_model_suite(seed: int = 0, max_entries: int = 8) -> list[CheckRow]:
     """Gradient check of the full model (filter + 1 block + heads, dim 32).
 
     The loss is the mean hybrid loss over a 2-sample batch of random
-    spectrograms, built as one summed graph, so the check also covers
-    gradients that two graphs accumulate into shared parameters. (Training
-    backpropagates one sample graph at a time instead.) The input
+    spectrograms. As in training, each sample's graph is built and
+    backpropagated on its own, seeded with 1/2, so the check also covers
+    gradients that two graphs accumulate into shared parameters. The input
     amplitude is kept small so the spectrum's DC term cannot drag mask-net
     preactivations across their rectifier kinks within the probe step;
     differentiability at a point is what central differences can measure.
@@ -249,16 +263,10 @@ def composed_model_suite(seed: int = 0, max_entries: int = 8) -> list[CheckRow]:
     specs = [rng.standard_normal((249, 64)) for _ in range(2)]
     labels = [1, 0]
 
-    def loss_fn():
-        total = None
-        for s, y in zip(specs, labels):
-            term = model.sample_loss(s, y)
-            total = term if total is None else total + term
-        return mul(0.5, total)
-
     return check_loss_gradients(
-        loss_fn, model.trainable(), tol=MODEL_TOL,
-        max_entries=max_entries, rng=np.random.default_rng(seed + 200),
+        lambda: [model.sample_loss(s, y) for s, y in zip(specs, labels)], model.trainable(),
+        tol=MODEL_TOL, max_entries=max_entries, rng=np.random.default_rng(seed + 200),
+        cotangent=0.5,
     )
 
 

@@ -102,27 +102,22 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operators -----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
     # -- backward ------------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, seed=None) -> None:
         """Populate gradients of every reachable tensor; frees the tape.
 
-        The receiver must be a scalar (single-element) tensor.
+        `seed` is the cotangent of the receiver and must have exactly its
+        shape; it is not broadcast. Without one, the receiver must be a
+        scalar (single-element) tensor and is seeded with 1.
         """
-        if self.data.size != 1:
-            raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
+        if seed is None:
+            if self.data.size != 1:
+                raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
+            seed = np.ones_like(self.data)
+        elif np.shape(seed) != self.shape:
+            raise ShapeError(f"backward() seed of shape {np.shape(seed)} for an output of shape "
+                             f"{self.shape}")
         if not self.requires_grad:
             return
 
@@ -142,7 +137,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(seed, dtype=np.float64)
         for node in reversed(order):
             fn = node._backward_fn
             if fn is None:
@@ -163,45 +158,7 @@ class Tensor:
                 node.grad = None
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (reverses numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-# -- elementwise arithmetic ---------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor._from_op(out, (a, b), backward, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
-
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return Tensor._from_op(out, (a, b), backward, "mul")
+# -- elementwise ------------------------------------------------------------------
 
 
 def soft_shrink(a: Tensor, alpha: float) -> Tensor:
@@ -216,18 +173,6 @@ def soft_shrink(a: Tensor, alpha: float) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(out, (a,), backward, "soft_shrink")
-
-
-# -- reductions ----------------------------------------------------------------
-
-
-def total_sum(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def backward(g):
-        return (np.broadcast_to(g, a.shape).astype(np.float64),)
-
-    return Tensor._from_op(out, (a,), backward, "sum")
 
 
 # -- fused neural-net primitives -------------------------------------------------
@@ -266,7 +211,6 @@ def _ln_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    gamma, beta = _wrap(gamma), _wrap(beta)
     out, xhat, inv = _ln_forward(x.data, gamma.data, beta.data)
 
     def backward(g):

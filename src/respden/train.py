@@ -22,7 +22,6 @@ from .errors import NumericError, TrainingError, UndefinedMetricError
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
 from .model import Model, seed_stream
 from .optim import AdamState, adam_step
-from .tensor import mul
 
 
 @dataclass
@@ -126,13 +125,13 @@ def _stratified_order(data: PreparedData, rng: np.random.Generator) -> list[int]
 
 
 def _batch_loss(model: Model, data: PreparedData, batch: list[int]) -> float:
-    """Backward of the batch-mean loss, one sample graph at a time (the bits of
-    mul(1/B, l0 + ... + l_{B-1}).backward()); returns the batch-mean loss."""
+    """Backward of the batch-mean loss, one sample graph at a time, each loss seeded
+    with 1/B (the bits of mul(1/B, l0 + ... + l_{B-1}).backward()); returns the mean."""
     scale, total = 1.0 / len(batch), 0.0
     for i in batch:
         loss = model.sample_loss(data.features[i], data.labels[i])
         total += loss.item()
-        mul(scale, loss).backward()
+        loss.backward(scale)
     return scale * total
 
 

@@ -3,10 +3,11 @@
 Everything here is deliberately naive (explicit loops, direct sums,
 scripted recurrences) and never calls the library paths it checks. The
 exceptions are two unfused tape chains, built from the library's unfused
-primitives plus the generic `matmul` and `patchify` nodes kept here, so
-that the fused nodes can be required to be bit-identical to them: the
-11-node denoise block that the two fused sublayer nodes replaced, and
-the 4-node patch embedding that the fused `patch_embed` replaced. The
+primitives plus the generic `add`, `mul`, `matmul` and `patchify` nodes
+kept here, so that the fused nodes can be required to be bit-identical to
+them: the 11-node denoise block that the two fused sublayer nodes
+replaced, and the 4-node patch embedding that the fused `patch_embed`
+replaced. `mul` is also the oracle of `fourier.scale_complex`. The
 resampling oracle is scipy's `resample_poly`, whose per-sample `upfirdn`
 loop the library's polyphase GEMMs replaced.
 The summed-batch loss is the one-graph training step that the streamed
@@ -27,7 +28,7 @@ from scipy.signal import firwin, resample_poly
 
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
 from respden.errors import ShapeError
-from respden.tensor import Tensor, _check_finite, add, layer_norm, mul
+from respden.tensor import Tensor, _check_finite, layer_norm
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,6 +43,40 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, l] * b[l, j]
             out[i, j] = acc
     return out
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` down to `shape` (reverses numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Broadcasting elementwise sum as a tape node."""
+    out = a.data + b.data
+
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return Tensor._from_op(out, (a, b), backward, "add")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Broadcasting elementwise product as a tape node; a constant factor gets no pullback."""
+    out = a.data * b.data
+
+    def backward(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return Tensor._from_op(out, (a, b), backward, "mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -429,8 +464,8 @@ def summed_batch_loss(model, data, batch: list[int]) -> Tensor:
     total = None
     for i in batch:
         loss = model.sample_loss(data.features[i], data.labels[i])
-        total = loss if total is None else total + loss
-    return mul(1.0 / len(batch), total) if len(batch) > 1 else total
+        total = loss if total is None else add(total, loss)
+    return mul(Tensor(1.0 / len(batch)), total) if len(batch) > 1 else total
 
 
 def hybrid_loss_direct(p: np.ndarray, label: int, beta: float, epsilon: float, norm_g, norm_b,

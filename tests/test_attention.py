@@ -25,7 +25,7 @@ from respden.errors import NumericError, ShapeError
 from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model, seed_stream
-from respden.tensor import Tensor, layer_norm, mul, total_sum
+from respden.tensor import Tensor, layer_norm
 
 from oracles import (
     attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct,
@@ -152,11 +152,11 @@ class TestMhda:
         ln_b = t(d, scale=0.3)
         params = MhdaParams(t(d, d), t(d, d), t(d, d), t(d, d),
                             Tensor(rng.uniform(0.2, 0.9, heads), requires_grad=True), heads)
-        w = Tensor(rng.standard_normal((n, d)))
+        w = rng.standard_normal((n, d))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(w, mhda(x, ln_g, ln_b, params))),
+            lambda: mhda(x, ln_g, ln_b, params),
             {"x": x, "ln.g": ln_g, "ln.b": ln_b, "wq": params.wq, "wk": params.wk,
-             "wv": params.wv, "wo": params.wo, "lam": params.lam},
+             "wv": params.wv, "wo": params.wo, "lam": params.lam}, cotangent=w,
         )
         assert params.lam.grad.shape == (heads,)
         for row in rows:
@@ -229,11 +229,11 @@ class TestBlock:
             Tensor(rng.standard_normal((12, d)) * 0.3, requires_grad=True),
         )
         x = Tensor(rng.standard_normal((4, d)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, d)))
+        w = rng.standard_normal((4, d))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(w, denoise_block(x, params))),
+            lambda: denoise_block(x, params),
             {"x": x, "wq": attn.wq, "lam": attn.lam, "ln1.g": params.ln1_g,
-             "ffn.w1": params.ffn_w1, "ffn.w3": params.ffn_w3},
+             "ffn.w1": params.ffn_w1, "ffn.w3": params.ffn_w3}, cotangent=w,
         )
         assert max(r.max_rel_err for r in rows) < 1e-3
 
@@ -260,10 +260,10 @@ class TestSwishGlu:
         w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         w2 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         w3 = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 4)))
+        w = rng.standard_normal((2, 4))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(w, swish_glu(x, ln_g, ln_b, w1, w2, w3))),
-            {"x": x, "ln.g": ln_g, "ln.b": ln_b, "w1": w1, "w2": w2, "w3": w3},
+            lambda: swish_glu(x, ln_g, ln_b, w1, w2, w3),
+            {"x": x, "ln.g": ln_g, "ln.b": ln_b, "w1": w1, "w2": w2, "w3": w3}, cotangent=w,
         )
         assert max(r.max_rel_err for r in rows) < 1e-4
 
@@ -298,7 +298,7 @@ def forward_and_grads(build, leaves, w):
     for p in leaves.values():
         p.zero_grad()
     out = build()
-    total_sum(mul(w, out)).backward()
+    out.backward(w)
     return out.data, {k: None if p.grad is None else p.grad.copy() for k, p in leaves.items()}
 
 
@@ -321,7 +321,7 @@ class TestFusedSublayersMatchChain:
         if case == "constant_row":
             x[2] = 0.7  # zero variance: LN output is beta, 1/std is 1/sqrt(eps)
         x = Tensor(x, requires_grad=True)
-        return x, params, Tensor(rng.standard_normal((n, d)))
+        return x, params, rng.standard_normal((n, d))
 
     def assert_match(self, fused, chain, leaves, w):
         got, got_grads = forward_and_grads(fused, leaves, w)
@@ -369,7 +369,7 @@ class TestFusedSublayersMatchChain:
                 Tensor(w2, requires_grad=True), Tensor(np.eye(d), requires_grad=True))
         self.assert_match(lambda: swish_glu(y, *args), lambda: ffn_sublayer_chain(y, *args),
                           {"x": y, "w1": args[2], "w2": args[3], "w3": args[4]},
-                          Tensor(np.random.default_rng(52).standard_normal((2, d))))
+                          np.random.default_rng(52).standard_normal((2, d)))
         assert swish_glu(y, *args).data[0, 5] < 0  # -745 * e^-745, not 0
 
 
@@ -387,14 +387,14 @@ class TestKernelsBitEqualToDirectArithmetic:
         # weights of std 0.1 keep the score rows away from one-hot saturation
         params = random_block(rng, cfg.dim, cfg.heads, lam=lam, w_scale=0.1)
         x = Tensor(rng.standard_normal((N_TOKENS, cfg.dim)), requires_grad=True)
-        return x, params, Tensor(rng.standard_normal((N_TOKENS, cfg.dim)))
+        return x, params, rng.standard_normal((N_TOKENS, cfg.dim))
 
     @staticmethod
     def assert_bit_equal(build, leaves, w, direct):
         got, grads = forward_and_grads(build, leaves, w)
         want, pullback = direct
         assert np.array_equal(got, want)
-        for name, ref in zip(leaves, pullback(w.data), strict=True):
+        for name, ref in zip(leaves, pullback(w), strict=True):
             assert np.array_equal(grads[name], ref), name
 
     @pytest.mark.parametrize("lam_case", ["learned", "lambda_zero"])
@@ -431,7 +431,7 @@ class TestKernelsBitEqualToDirectArithmetic:
             ("ffn.w3", rng.standard_normal((2 * d, d))))}
         direct = swish_glu_direct(*(t.data for t in leaves.values()))
         self.assert_bit_equal(lambda: swish_glu(*leaves.values()), leaves,
-                              Tensor(rng.standard_normal((8, d))), direct)
+                              rng.standard_normal((8, d)), direct)
         if case == "sign_edge":
             # a matmul sums from +0.0, so no pre-activation is -0.0; the
             # numerator's identity is checked there on the value itself
@@ -563,7 +563,8 @@ class TestPatchEmbed:
         rng = np.random.default_rng(13)
         bb = make_backbone(rng, 16, 2, 0)
         x = Tensor(rng.standard_normal((249, 64)), requires_grad=True)
-        total_sum(patch_embed(x, bb)).backward()
+        out = patch_embed(x, bb)
+        out.backward(np.ones(out.shape))
         # gradient of sum over tokens: each grid cell contributes via its patch row
         assert x.grad.shape == (249, 64) and np.abs(x.grad).max() > 0
 
@@ -582,8 +583,8 @@ class TestPatchEmbed:
         assert np.array_equal(fused.data, chain.data)
         if not x_grad:
             assert fused._backward_fn(w)[0] is None
-        total_sum(mul(Tensor(w), fused)).backward()
-        total_sum(mul(Tensor(w), chain)).backward()
+        fused.backward(w)
+        chain.backward(w)
         for name in ("patch_w", "patch_b", "pos"):
             assert np.array_equal(getattr(fused_bb, name).grad, getattr(chain_bb, name).grad), name
         if x_grad:

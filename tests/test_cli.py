@@ -116,6 +116,19 @@ class TestExitCodes:
         assert code == (2 if which == "config" else 3)
         assert err.startswith("error:") and "UTF-8" in err
 
+    @pytest.mark.parametrize("start,end", [("nan", "1.0"), ("0.0", "inf"), ("-1.0", "1.0"),
+                                           ("-1.0", "7.5")])
+    def test_bad_cycle_times_are_3(self, start, end, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        ann = sorted(ds.glob("*.txt"))[0]
+        ann.write_text(f"{start}\t{end}\t0\t0\n" + ann.read_text())
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 3
+        assert err.startswith("error:") and f"{ann}:1:" in err and "Traceback" not in err
+
     def test_unknown_flag_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--warp-speed", "9"])

@@ -65,6 +65,18 @@ class TestAnnotationGrammar:
         with pytest.raises(DatasetError, match="end"):
             parse_annotation_file(str(path))
 
+    #: cycle times that are not finite or start before the recording; (-1, 7.5)
+    #: would otherwise slice from near the recording's end (samples[-rate:])
+    BAD_TIMES = [("nan", "1.0"), ("0.0", "nan"), ("inf", "1.0"), ("0.0", "inf"),
+                 ("-inf", "1.0"), ("0.0", "-inf"), ("-1.0", "1.0"), ("-1.0", "7.5")]
+
+    @pytest.mark.parametrize("start,end", BAD_TIMES, ids=["/".join(t) for t in BAD_TIMES])
+    def test_bad_cycle_times_name_the_line(self, tmp_path, start, end):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0.0\t1.0\t0\t0\n{start}\t{end}\t0\t0\n")
+        with pytest.raises(DatasetError, match=r"bad\.txt:2"):
+            parse_annotation_file(str(path))
+
     def test_label_mapping(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("0\t1\t0\t0\n1\t2\t1\t0\n2\t3\t0\t1\n3\t4\t1\t1\n")

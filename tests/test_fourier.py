@@ -6,9 +6,9 @@ import pytest
 from respden.errors import NumericError, ShapeError
 from respden.fourier import fft2, ifft2, scale_complex
 from respden.gradcheck import check_loss_gradients
-from respden.tensor import Tensor, mul, total_sum
+from respden.tensor import Tensor
 
-from oracles import dft2_direct, idft2_direct
+from oracles import dft2_direct, idft2_direct, mul
 
 
 def to_complex(spec: Tensor) -> np.ndarray:
@@ -94,22 +94,39 @@ class TestGradients:
         raw = rng.standard_normal((t_n, f_n))
         sym = 0.5 * (raw + raw[np.ix_((-np.arange(t_n)) % t_n, (-np.arange(f_n)) % f_n)])
         mask = Tensor(sym)
-        weights = Tensor(rng.standard_normal((t_n, f_n)))
-
-        def loss():
-            return total_sum(mul(weights, ifft2(scale_complex(fft2(x), mask))))
-
-        rows = check_loss_gradients(loss, {"x": x})
+        weights = rng.standard_normal((t_n, f_n))
+        rows = check_loss_gradients(lambda: ifft2(scale_complex(fft2(x), mask)), {"x": x},
+                                    cotangent=weights)
         assert rows[0].max_rel_err < 1e-4
 
     def test_spectrum_gradient_adjoint(self):
         # loss = sum(w[0] * re) + sum(w[1] * im); the pullback is linear
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        weights = Tensor(rng.standard_normal((2, 3, 4)))
-
-        def loss():
-            return total_sum(mul(weights, fft2(x)))
-
-        rows = check_loss_gradients(loss, {"x": x})
+        weights = rng.standard_normal((2, 3, 4))
+        rows = check_loss_gradients(lambda: fft2(x), {"x": x}, cotangent=weights)
         assert rows[0].max_rel_err < 1e-4
+
+
+class TestScaleComplex:
+    """The one-node mask product against the broadcasting `mul` node it replaced."""
+
+    @pytest.mark.parametrize("grads", [(True, True), (False, True), (True, False)],
+                             ids=["both", "data_spectrum", "constant_mask"])
+    def test_bit_equal_to_broadcast_mul(self, grads):
+        rng = np.random.default_rng(8)
+        spec_data, mask_data = rng.standard_normal((2, 5, 7)), rng.standard_normal((5, 7))
+        g = rng.standard_normal((2, 5, 7))
+        results = []
+        for op in (scale_complex, lambda sp, m: mul(m, sp)):
+            spec = Tensor(spec_data, requires_grad=grads[0])
+            mask = Tensor(mask_data, requires_grad=grads[1])
+            out = op(spec, mask)
+            pulled = out._backward_fn(g)
+            out.backward(g)
+            results.append((out.data, spec.grad, mask.grad, [p is None for p in pulled]))
+        (out, d_spec, d_mask, skipped), (want, want_spec, want_mask, want_skipped) = results
+        assert np.array_equal(out, want)
+        assert skipped == want_skipped
+        for got, ref in ((d_spec, want_spec), (d_mask, want_mask)):
+            assert (got is None and ref is None) or np.array_equal(got, ref)

@@ -14,7 +14,7 @@ from respden.freq_filter import (
 )
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model
-from respden.tensor import Tensor, mul, soft_shrink, total_sum
+from respden.tensor import Tensor, soft_shrink
 
 from oracles import filter_direct, pointwise_mask_mlp, pointwise_mask_mlp_grads
 
@@ -92,7 +92,7 @@ class TestFusedMaskNet:
         g = np.random.default_rng(21).standard_normal(self.SHAPE)
 
         out = mask_net(spec, params)
-        total_sum(mul(Tensor(g), out)).backward()
+        out.backward(g)
 
         complex_spec = spec.data[0] + 1j * spec.data[1]
         want = pointwise_mask_mlp(complex_spec, w1, b1, w2.reshape(-1), b2[0])
@@ -108,13 +108,13 @@ class TestFusedMaskNet:
         # and the parameter gradients are those of a spectrum that does
         g = np.random.default_rng(22).standard_normal(self.SHAPE)
         spec, params = self.spectrum_and_params()
-        total_sum(mul(Tensor(g), mask_net(spec, params))).backward()
+        mask_net(spec, params).backward(g)
         want = [p.grad.copy() for p in (params.w1, params.b1, params.w2, params.b2)]
         for p in (params.w1, params.b1, params.w2, params.b2):
             p.zero_grad()
         out = mask_net(Tensor(spec.data), params)
         assert out._backward_fn(g)[0] is None
-        total_sum(mul(Tensor(g), out)).backward()
+        out.backward(g)
         for p, w in zip((params.w1, params.b1, params.w2, params.b2), want):
             np.testing.assert_array_equal(p.grad, w)
 
@@ -146,9 +146,9 @@ class TestSymmetrization:
         rng = np.random.default_rng(14)
         m = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
         weights = rng.standard_normal((5, 6))
-        total_sum(mul(Tensor(weights), symmetrize(m))).backward()
+        symmetrize(m).backward(weights)
         np.testing.assert_array_equal(m.grad, symmetrize(Tensor(weights)).data)
-        rows = check_loss_gradients(lambda: total_sum(mul(Tensor(weights), symmetrize(m))), {"m": m})
+        rows = check_loss_gradients(lambda: symmetrize(m), {"m": m}, cotangent=weights)
         assert rows[0].max_rel_err < 1e-4
 
 
@@ -229,10 +229,11 @@ class TestFilterForward:
         rng = np.random.default_rng(12)
         params = random_params(rng, hidden=4, scale=0.2, requires_grad=True)
         x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-        weights = Tensor(rng.standard_normal((5, 6)))
+        weights = rng.standard_normal((5, 6))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(weights, filter_forward(x, params))),
+            lambda: filter_forward(x, params),
             {"x": x, "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2},
+            cotangent=weights,
         )
         assert max(r.max_rel_err for r in rows) < 1e-3
 
@@ -248,7 +249,7 @@ def outputs_and_gradients(fn, x, params, weights):
     leaves = [Tensor(p.data.copy(), requires_grad=True)
               for p in (params.w1, params.b1, params.w2, params.b2)]
     out = fn(xt, FilterParams(*leaves, alpha=params.alpha))
-    total_sum(mul(Tensor(weights), out)).backward()
+    out.backward(weights)
     return [out.data, xt.grad] + [p.grad for p in leaves]
 
 

@@ -1,16 +1,18 @@
 """Autodiff core: forward values, gradient contracts, error handling.
 
-The generic `matmul` node lives in `tests/oracles.py` (only the unfused
-oracle chains use it); its contract is still checked here."""
+The generic `add`, `mul` and `matmul` nodes live in `tests/oracles.py`
+(only the unfused oracle chains use them); their contracts are still
+checked here."""
 
 import numpy as np
 import pytest
 
 from respden.errors import NumericError, ShapeError
+from respden.fourier import scale_complex
 from respden.gradcheck import OP_TOL, check_loss_gradients
-from respden.tensor import LN_EPS, Tensor, layer_norm, mul, no_grad, soft_shrink, total_sum
+from respden.tensor import LN_EPS, Tensor, layer_norm, no_grad, soft_shrink
 
-from oracles import layer_norm_direct, matmul, naive_matmul
+from oracles import add, layer_norm_direct, matmul, mul, naive_matmul
 
 
 class TestMatmul:
@@ -38,7 +40,7 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         w = rng.standard_normal((3, 2))
-        total_sum(mul(Tensor(w), matmul(a, b))).backward()
+        matmul(a, b).backward(w)
         np.testing.assert_allclose(a.grad, w @ b.data.T, atol=1e-12)
         np.testing.assert_allclose(b.grad, a.data.T @ w, atol=1e-12)
 
@@ -46,8 +48,8 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        w = Tensor(np.random.default_rng(7).standard_normal((3, 2)))
-        rows = check_loss_gradients(lambda: total_sum(mul(w, matmul(a, b))), {"A": a, "B": b})
+        w = np.random.default_rng(7).standard_normal((3, 2))
+        rows = check_loss_gradients(lambda: matmul(a, b), {"A": a, "B": b}, cotangent=w)
         assert max(r.max_rel_err for r in rows) < OP_TOL
 
 
@@ -68,9 +70,9 @@ class TestLayerNorm:
         x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
         g = Tensor(rng.standard_normal(5), requires_grad=True)
         b = Tensor(rng.standard_normal(5), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 5)))
+        w = rng.standard_normal((2, 5))
         rows = check_loss_gradients(
-            lambda: total_sum(mul(w, layer_norm(x, g, b))), {"x": x, "gamma": g, "beta": b}
+            lambda: layer_norm(x, g, b), {"x": x, "gamma": g, "beta": b}, cotangent=w
         )
         assert max(r.max_rel_err for r in rows) < 1e-4
 
@@ -86,7 +88,7 @@ class TestLayerNorm:
         b = Tensor(0.3 * rng.standard_normal(shape[-1]), requires_grad=True)
         w = rng.standard_normal(shape)
         out = layer_norm(x, g, b)
-        total_sum(mul(Tensor(w), out)).backward()
+        out.backward(w)
         want, pullback = layer_norm_direct(x.data, g.data, b.data)
         assert np.array_equal(out.data, want)
         for name, got, ref in zip(("x", "gamma", "beta"), (x.grad, g.grad, b.grad), pullback(w)):
@@ -118,7 +120,7 @@ class TestSoftShrink:
         out = soft_shrink(Tensor([0.02, -0.02]), 0.02)
         np.testing.assert_array_equal(out.data, [0.0, 0.0])
         x = Tensor([0.02], requires_grad=True)
-        total_sum(soft_shrink(x, 0.02)).backward()
+        soft_shrink(x, 0.02).backward()
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_negative_alpha_rejected(self):
@@ -126,31 +128,42 @@ class TestSoftShrink:
             soft_shrink(Tensor([1.0]), -0.1)
 
 
+
+
 class TestBackward:
     def test_linear_case_grad_is_ones(self):
+        # soft_shrink at alpha 0 is the identity away from 0: d sum(w) / dw
         w = Tensor(np.random.default_rng(9).standard_normal((3, 4)), requires_grad=True)
-        total_sum(w).backward()
+        soft_shrink(w, 0.0).backward(np.ones((3, 4)))
         np.testing.assert_array_equal(w.grad, np.ones((3, 4)))
 
     def test_quadratic_case_grad_is_2w(self):
         w = Tensor(np.random.default_rng(10).standard_normal((2, 5)), requires_grad=True)
-        total_sum(mul(w, w)).backward()
+        mul(w, w).backward(np.ones((2, 5)))
         np.testing.assert_allclose(w.grad, 2 * w.data, atol=1e-12)
 
     def test_accumulation_across_multiple_uses(self):
-        x = Tensor([2.0], requires_grad=True)
-        total_sum(x + x).backward()
-        np.testing.assert_array_equal(x.grad, [2.0])
+        # g is both gamma and beta of one node, then a leaf of a second graph
+        x = Tensor([[1.0, -2.0, 4.0]])
+        w = np.array([[1.0, 2.0, 3.0]])
+        gamma = Tensor([2.0, 3.0, 5.0], requires_grad=True)
+        beta = Tensor(gamma.data.copy(), requires_grad=True)
+        layer_norm(x, gamma, beta).backward(w)
+        g = Tensor(gamma.data.copy(), requires_grad=True)
+        layer_norm(x, g, g).backward(w)
+        np.testing.assert_array_equal(g.grad, gamma.grad + beta.grad)
+        layer_norm(x, g, g).backward(w)
+        np.testing.assert_array_equal(g.grad, 2 * (gamma.grad + beta.grad))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
-        with pytest.raises(ShapeError):
-            (x + x).backward()
+        with pytest.raises(ShapeError, match="scalar"):
+            soft_shrink(x, 0.0).backward()
 
     def test_unreachable_parameter_keeps_zero_grad(self):
         used = Tensor([1.0, 2.0], requires_grad=True)
         unused = Tensor([3.0], requires_grad=True)
-        total_sum(used).backward()
+        soft_shrink(used, 0.0).backward(np.ones(2))
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_mul_skips_the_pullback_of_a_constant(self):
@@ -161,10 +174,49 @@ class TestBackward:
         np.testing.assert_array_equal(d_b, [2.0, 3.0])
 
     def test_tape_is_freed(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = x + x
-        total_sum(y).backward()
-        assert y._parents == () and y._backward_fn is None
+        x = Tensor([1.0, -1.0], requires_grad=True)
+        y = soft_shrink(x, 0.5)
+        z = soft_shrink(y, 0.1)
+        z.backward(np.ones(2))
+        for node in (y, z):
+            assert node._parents == () and node._backward_fn is None and node.grad is None
+
+
+class TestSeededBackward:
+    """`backward(seed)`: the seed is the output's cotangent, of exactly its shape."""
+
+    @pytest.mark.parametrize("out_shape,seed_shape",
+                             [((2, 3), (3,)), ((2, 3), (1, 3)), ((2, 3), (3, 2)),
+                              ((2, 3), (2, 3, 1)), ((2, 3), ()), ((), (1,))],
+                             ids=["row", "broadcastable", "transposed", "extra-axis", "scalar",
+                                  "scalar-loss"])
+    def test_seed_of_wrong_shape_raises(self, out_shape, seed_shape):
+        x = Tensor(np.ones(out_shape), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"seed of shape"):
+            soft_shrink(x, 0.0).backward(np.ones(seed_shape))
+        assert not x.grad.any()
+
+    def test_seed_matches_an_explicit_product_node(self):
+        # backward(w) hands the output what mul(w, out).backward(ones) hands it
+        rng = np.random.default_rng(12)
+        x_data, w = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        grads = []
+        for seeded in (True, False):
+            x = Tensor(x_data, requires_grad=True)
+            out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            if seeded:
+                out.backward(w)
+            else:
+                mul(Tensor(w), out).backward(np.ones((3, 4)))
+            grads.append(x.grad)
+        assert np.array_equal(*grads)
+
+    def test_seed_is_not_aliased(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seed = np.array([0.5, 0.25])
+        x.backward(seed)
+        x.grad += 1.0
+        np.testing.assert_array_equal(seed, [0.5, 0.25])
 
 
 class TestFiniteGuard:
@@ -176,15 +228,15 @@ class TestFiniteGuard:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_op_raises_instead_of_propagating(self):
-        x = Tensor([1e308])
-        with pytest.raises(NumericError):
-            x + x
+        spectrum = Tensor(np.full((2, 1, 2), 1e308))
+        with pytest.raises(NumericError, match="scale_complex"):
+            scale_complex(spectrum, Tensor([[10.0, 1.0]]))
 
     def test_finite_inputs_produce_finite_outputs(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((3, 3)) * 50)
         ln = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        for out in (matmul(x, x), mul(x, x), ln, soft_shrink(x, 0.1), total_sum(x)):
+        for out in (matmul(x, x), mul(x, x), ln, soft_shrink(x, 0.1)):
             assert np.isfinite(out.data).all()
 
 
@@ -192,18 +244,18 @@ class TestBroadcastAndModes:
     def test_bias_add_gradient_shapes(self):
         x = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)
-        total_sum(x + b).backward()
+        add(x, b).backward(np.ones((3, 4)))
         assert x.grad.shape == (3, 4) and b.grad.shape == (4,)
         np.testing.assert_array_equal(b.grad, 3 * np.ones(4))
 
     def test_scalar_times_matrix(self):
         s = Tensor(np.asarray(2.0), requires_grad=True)
         m = Tensor(np.ones((2, 2)))
-        total_sum(mul(s, m)).backward()
+        mul(s, m).backward(np.ones((2, 2)))
         np.testing.assert_allclose(s.grad, 4.0)
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = x + x
+            y = soft_shrink(x, 0.0)
         assert not y.requires_grad and y._backward_fn is None

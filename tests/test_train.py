@@ -3,6 +3,7 @@
 import json
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ class TestStreamedBatch:
 
         one, eight = peak(tiny_data.train_idx[:1]), peak(tiny_data.train_idx[:8])
         assert eight <= 1.25 * one, (one, eight)
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_step_builds_twelve_nodes_per_sample(self, tiny_data, size, monkeypatch):
+        # at the default depth of 4 blocks: filter, patch embed, two sublayer
+        # nodes per block, final layer norm, heads + loss; 1/B is the seed
+        model = random_heads_model(tiny_cfg(layers=4))
+        made = Counter()
+        from_op = Tensor._from_op
+
+        def counted(data, parents, backward_fn, what):
+            made[what] += 1
+            return from_op(data, parents, backward_fn, what)
+
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
+        _batch_loss(model, tiny_data, tiny_data.train_idx[:size])
+        assert sum(made.values()) == 12 * size, made
 
 
 #: trains the default model in a fresh interpreter and prints the last
