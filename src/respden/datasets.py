@@ -15,14 +15,17 @@ under additive noise; they are not meant to mimic true lung acoustics.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS, resampled_length
 from .errors import DatasetError, MissingAudioError
-from .wavio import read_wav, write_wav
+# read_wav is unused here but stays importable: perfbench/tracer.py wraps datasets.read_wav
+from .wavio import WavHeader, read_header, read_wav, write_wav
 
 SPLITS = ("train", "test")
 
@@ -101,11 +104,33 @@ def parse_split_file(path: str) -> dict[str, str]:
     return splits
 
 
-def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, list[AudioClip]]:
-    """Load a WAV + annotation corpus, slicing each cycle into an AudioClip.
+class CycleClips(Sequence):
+    """Annotated cycles as AudioClips, each decoded from its WAV bytes when read.
+
+    Item k reads only cycle k's frames, so a pass over the sequence holds
+    one cycle's samples at a time, never a whole recording. Reading a cycle
+    whose file was removed after `load_dataset` raises `MissingAudioError`;
+    one whose file changed raises `DatasetError`.
+    """
+
+    def __init__(self, ranges: list[tuple[WavHeader, int, int, Label, str]]):
+        self._ranges = ranges  # (header, first frame, end frame, label, subject) per cycle
+
+    def __len__(self) -> int:
+        return len(self._ranges)
+
+    def __getitem__(self, k: int) -> AudioClip:
+        header, lo, hi, label, subject = self._ranges[operator.index(k)]
+        return AudioClip(header.read_frames(lo, hi), header.rate, label, subject)
+
+
+def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, CycleClips]:
+    """Load a WAV + annotation corpus as one AudioClip per annotated cycle.
 
     Every annotation file needs a sibling WAV and an entry in the split
-    file; the resulting manifest is checked to be patient-disjoint.
+    file; the resulting manifest is checked to be patient-disjoint. Each
+    WAV header and each cycle's bounds are checked here; the samples are
+    decoded when a clip is read (see `CycleClips`).
     """
     splits = parse_split_file(split_file)
     split_base = os.path.abspath(split_file)
@@ -117,7 +142,7 @@ def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, list[
     if not names:
         raise DatasetError(f"no annotation files found in {dir_path}")
     manifest = DatasetManifest()
-    clips: list[AudioClip] = []
+    ranges: list[tuple[WavHeader, int, int, Label, str]] = []
     for name in names:
         ann_path = os.path.join(dir_path, name + ".txt")
         wav_path = os.path.join(dir_path, name + ".wav")
@@ -126,20 +151,21 @@ def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, list[
             raise MissingAudioError(f"annotation {ann_path} has no WAV file {wav_path}")
         if name not in splits:
             raise DatasetError(f"recording {name} missing from split file {split_file}")
-        samples, rate = read_wav(wav_path)
+        header = read_header(wav_path)
+        rate = header.rate
         subject = subject_from_name(name)
         for k, (start, end, label) in enumerate(cycles):
             lo = int(round(start * rate))
-            hi = min(int(round(end * rate)), samples.size)
+            hi = min(int(round(end * rate)), header.frames)
             if hi <= lo:
                 raise DatasetError(f"{ann_path}: cycle {k} lies outside the recording")
             if resampled_length(hi - lo, rate) == 0:
                 raise DatasetError(f"{ann_path}: cycle {k} of {wav_path} is {hi - lo} samples "
                                    f"at {rate} Hz, which resample to none at {TARGET_RATE} Hz")
-            clips.append(AudioClip(samples[lo:hi], rate, label, subject))
+            ranges.append((header, lo, hi, label, subject))
             manifest.entries.append(ManifestEntry(f"{name}#{k}", label, subject, splits[name]))
     manifest.validate_patient_disjoint()
-    return manifest, clips
+    return manifest, CycleClips(ranges)
 
 
 # -- synthetic data ----------------------------------------------------------------

@@ -137,7 +137,10 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.array(seed, dtype=np.float64)
+        if self._leaf:  # a leaf accumulates its seed, as it accumulates a child's cotangent
+            self.grad += seed
+        else:
+            self.grad = np.array(seed, dtype=np.float64)
         for node in reversed(order):
             fn = node._backward_fn
             if fn is None:

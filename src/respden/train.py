@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import preprocess
+from .audio import AudioClip, preprocess
 from .config import RunConfig
 from .datasets import DatasetManifest, SynthConfig, build_synth, load_dataset
 from .errors import NumericError, TrainingError, UndefinedMetricError
@@ -67,7 +68,7 @@ def synth_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
     ), cfg.seed)
 
 
-def resolve_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
+def resolve_dataset(cfg: RunConfig) -> tuple[DatasetManifest, Sequence[AudioClip]]:
     if cfg.dataset == "synth":
         return synth_dataset(cfg)
     split_file = cfg.split_file or os.path.join(cfg.dataset, "split.txt")
@@ -75,7 +76,7 @@ def resolve_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
 
 
 def prepare_data(cfg: RunConfig, manifest: DatasetManifest | None = None,
-                 clips: list | None = None) -> PreparedData:
+                 clips: Sequence[AudioClip] | None = None) -> PreparedData:
     """Resolve the dataset and precompute every clip's spectrogram once."""
     if manifest is None or clips is None:
         manifest, clips = resolve_dataset(cfg)
@@ -139,7 +140,8 @@ def header_line(cfg: RunConfig) -> str:
     return json.dumps({"type": "header", "config": cfg.snapshot()}, sort_keys=True)
 
 
-def train(cfg: RunConfig, manifest: DatasetManifest | None = None, clips: list | None = None,
+def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
+          clips: Sequence[AudioClip] | None = None,
           log_path: str | None = None) -> TrainResult:
     """Run Adam over the hybrid loss; returns the model, state, and history.
 

@@ -15,7 +15,9 @@ per-sample backward replaced. The direct hybrid loss is the value oracle
 for the fused heads + loss node. The direct layer norm, attention and
 SwishGLU sublayers are the fused kernels' arithmetic with np.mean/np.var
 and a fresh array per step, which the kernels' plain sums and in-place
-buffers must reproduce bit for bit.
+buffers must reproduce bit for bit. The WAV oracle is
+`scipy.io.wavfile.read` followed by the scaling that `read_wav` applied
+when it delegated decoding to scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
@@ -493,3 +496,21 @@ def hybrid_loss_direct(p: np.ndarray, label: int, beta: float, epsilon: float, n
     ce = smoothed_ce(head(pooled, cls_w, cls_b), 0.0)
     bd = smoothed_ce(head(normed, phi_w, phi_b), epsilon)
     return beta * bd + (1.0 - beta) * ce
+
+
+def scipy_read_wav(path: str) -> tuple[np.ndarray, int]:
+    """(mono float64 samples, rate) as scipy decodes the file, scaled as `read_wav` always has."""
+    rate, data = wavfile.read(path)
+    pcm_scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+    scaled = data.dtype in pcm_scale or data.dtype == np.uint8
+    if data.dtype in pcm_scale:
+        samples = np.multiply(data, 1.0 / pcm_scale[data.dtype], dtype=np.float64)
+    elif data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    else:
+        samples = data.astype(np.float64)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    if not scaled:
+        samples = np.clip(samples, -1.0, 1.0)
+    return samples, int(rate)

@@ -61,9 +61,10 @@ def up_down(rate):
 
 
 class TestColdStart:
-    def test_import_does_not_load_scipy_signal(self, run_with_blas_threads):
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.io"])
+    def test_import_does_not_load(self, module, run_with_blas_threads):
         script = ("import json, sys\nimport respden, respden.cli\n"
-                  "print(json.dumps('scipy.signal' in sys.modules))")
+                  f"print(json.dumps({module!r} in sys.modules))")
         assert run_with_blas_threads(script, 1) is False
 
 

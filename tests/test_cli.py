@@ -216,6 +216,18 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:") and wav.name in err
 
+    @pytest.mark.parametrize("magic,named", [(b"RIFX", "big-endian RIFX"), (b"RF64", "RF64")])
+    def test_unsupported_wav_encoding_is_3(self, magic, named, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        wav = sorted(ds.glob("*.wav"))[0]
+        wav.write_bytes(magic + wav.read_bytes()[4:])
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 3
+        assert err.startswith("error:") and wav.name in err and named in err
+
     @pytest.mark.parametrize("fault", ["one_sample_cycle", "rate_above_max"])
     def test_malformed_dataset_is_3(self, fault, tmp_path, capsys):
         ds = tmp_path / "ds"

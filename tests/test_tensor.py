@@ -211,6 +211,13 @@ class TestSeededBackward:
             grads.append(x.grad)
         assert np.array_equal(*grads)
 
+    def test_leaf_accumulates_its_seed(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seed = np.array([0.5, 0.25])
+        x.backward(seed)
+        x.backward(seed)
+        np.testing.assert_array_equal(x.grad, [1.0, 0.5])
+
     def test_seed_is_not_aliased(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         seed = np.array([0.5, 0.25])
