@@ -31,7 +31,7 @@ import numpy as np
 
 from .audio import DEFAULT_SPEC_CONFIG, N_FRAMES
 from .errors import ShapeError
-from .tensor import Tensor, _check_finite, _ln_backward, _ln_forward, layer_norm
+from .tensor import Tensor, _check_clips, _check_finite, _ln_backward, _ln_forward, layer_norm
 
 PATCH = 16
 #: token grid over the zero-padded 256 x 64 spectrogram
@@ -78,11 +78,14 @@ class MhdaParams:
 
 
 def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Tensor, np.ndarray]:
-    """The fused attention sublayer node plus its (H, 2, N, N) softmax maps."""
-    if x.data.ndim != 2 or x.shape[1] != params.wq.shape[0]:
+    """The fused attention sublayer node plus its (H, 2, N, N) softmax maps
+    ((B, H, 2, N, N) for a no-grad stack of B clips' tokens)."""
+    _check_clips(x, "mhda")
+    if x.shape[-1] != params.wq.shape[0]:
         raise ShapeError(f"expected (N, {params.wq.shape[0]}) tokens to match wq rows, got {x.shape}")
     wq, wk, wv, wo, lam = params.wq, params.wk, params.wv, params.wo, params.lam
-    n, h, d, dv = x.shape[0], params.heads, params.d_qk, params.d_v
+    *lead, n, _ = x.shape
+    h, d, dv = params.heads, params.d_qk, params.d_v
     scale = 1.0 / math.sqrt(d)
     xn, xhat, inv = _ln_forward(x.data, ln_g.data, ln_b.data)
     q = xn @ wq.data
@@ -92,9 +95,9 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     _check_finite(k, "mhda key projection")
     _check_finite(v, "mhda value projection")
     # head arrays: (H, 2, N, d) for queries/keys, (H, N, d_v) for values
-    qh = q.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
-    kh = k.reshape(n, h, 2, d).transpose(1, 2, 0, 3)
-    vh = v.reshape(n, h, dv).transpose(1, 0, 2)
+    qh = np.moveaxis(q.reshape(*lead, n, h, 2, d), -4, -2)
+    kh = np.moveaxis(k.reshape(*lead, n, h, 2, d), -4, -2)
+    vh = v.reshape(*lead, n, h, dv).swapaxes(-3, -2)
     # the scores turn into both softmax maps in one buffer; the differential map takes a second
     m = qh @ kh.swapaxes(-1, -2)
     m *= scale
@@ -103,9 +106,9 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     np.exp(m, out=m)
     m /= m.sum(axis=-1, keepdims=True)
     lam_h = lam.data.reshape(-1, 1, 1)
-    a = lam_h * m[:, 1]
-    np.subtract(m[:, 0], a, out=a)
-    merged = (a @ vh).transpose(1, 0, 2).reshape(n, h * dv)
+    a = lam_h * m[..., 1, :, :]
+    np.subtract(m[..., 0, :, :], a, out=a)
+    merged = (a @ vh).swapaxes(-3, -2).reshape(*lead, n, h * dv)
     out = x.data + merged @ wo.data
 
     def backward(g):
@@ -149,6 +152,7 @@ def mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> Tensor:
 def swish_glu(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
     """y + (swish(n @ w1) * (n @ w2)) @ w3 with n = LN(y) and swish(a) = a * sigmoid(a),
     as one tape node (see module doc)."""
+    _check_clips(y, "swish_glu")
     n, nhat, inv = _ln_forward(y.data, ln_g.data, ln_b.data)
     a = n @ w1.data
     # stable in both tails: 1/(1+e^-a) for a >= 0, e^a/(1+e^a) below, one division
@@ -213,16 +217,17 @@ def extract_patches(values: np.ndarray) -> np.ndarray:
     """Zero-pad the T x 64 grid to 256 x 64 and flatten 16 x 16 patches.
 
     Tokens are ordered time-major (time block index * 4 + frequency block
-    index); each patch is flattened row-major into 256 values.
+    index); each patch is flattened row-major into 256 values. Leading
+    axes, as of a stack of clips, are kept.
     """
-    t, f = values.shape
+    *lead, t, f = values.shape
     if f != DEFAULT_SPEC_CONFIG.n_mels or t > N_TIME_PATCHES * PATCH:
         raise ShapeError(f"expected a spectrogram of at most {N_TIME_PATCHES * PATCH} x "
                          f"{DEFAULT_SPEC_CONFIG.n_mels}, got {values.shape}")
-    padded = np.zeros((N_TIME_PATCHES * PATCH, f))
-    padded[:t] = values
-    blocks = padded.reshape(N_TIME_PATCHES, PATCH, N_FREQ_PATCHES, PATCH)
-    return blocks.transpose(0, 2, 1, 3).reshape(N_TOKENS, PATCH_DIM)
+    padded = np.zeros((*lead, N_TIME_PATCHES * PATCH, f))
+    padded[..., :t, :] = values
+    blocks = padded.reshape(*lead, N_TIME_PATCHES, PATCH, N_FREQ_PATCHES, PATCH)
+    return blocks.swapaxes(-3, -2).reshape(*lead, N_TOKENS, PATCH_DIM)
 
 
 def patch_embed(x: Tensor, params: BackboneParams) -> Tensor:
@@ -230,11 +235,11 @@ def patch_embed(x: Tensor, params: BackboneParams) -> Tensor:
 
     The backward scatters the patch gradient back onto the grid only when
     `x` requires grad; a constant spectrogram (no filter in front) skips it.
+    Under no_grad, x may be a (B, T, F) stack, embedded with one product per clip.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"patch_embed expects a 2-D spectrogram, got {x.shape}")
+    _check_clips(x, "patch_embed")
     w, b, pos = params.patch_w, params.patch_b, params.pos
-    t, f = x.shape
+    t, f = x.shape[-2:]
     patches = extract_patches(x.data)
     out = patches @ w.data
     out += b.data

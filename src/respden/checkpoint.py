@@ -35,7 +35,8 @@ import numpy as np
 
 from .config import RunConfig, check_value_types, validate_config
 from .errors import (
-    BadMagicError, CheckpointError, ShapeError, TruncatedError, UsageError, VersionError,
+    BadMagicError, CheckpointError, NumericError, ShapeError, TruncatedError, UsageError,
+    VersionError,
 )
 from .model import Model, param_shapes
 from .optim import AdamState
@@ -109,6 +110,22 @@ def _read_exact(fh, size: int, n: int, what: str) -> bytes:
     return data
 
 
+def _read_array(fh, size: int, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A float64 block of `shape` read straight into its array, after the
+    length check of `_read_exact`."""
+    what = f"data of '{name}'"
+    n = 8 * math.prod(shape)  # a Python int: cannot overflow
+    if n > size - fh.tell():
+        raise TruncatedError(f"checkpoint truncated while reading {what}")
+    try:
+        arr = np.empty(shape, dtype="<f8")
+    except ValueError as exc:  # too many dimensions, or a zero among huge extents
+        raise CheckpointError(f"checkpoint block '{name}' has an unusable shape: {exc}") from exc
+    if fh.readinto(arr) != n:
+        raise TruncatedError(f"checkpoint truncated while reading {what}")
+    return arr
+
+
 def _read_u32(fh, size: int, what: str) -> int:
     return struct.unpack("<I", _read_exact(fh, size, 4, what))[0]
 
@@ -139,12 +156,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(f"checkpoint block name is not UTF-8: {raw_name!r}") from exc
             ndim = _read_u32(fh, size, f"ndim of '{name}'")
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, size, 4 * ndim, f"shape of '{name}'"))
-            count = math.prod(shape)  # a Python int: cannot overflow
-            raw = _read_exact(fh, size, 8 * count, f"data of '{name}'")
-            try:
-                arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            except ValueError as exc:  # too many dimensions, or a zero among huge extents
-                raise CheckpointError(f"checkpoint block '{name}' has an unusable shape: {exc}") from exc
+            arr = _read_array(fh, size, shape, name)
             if name in params:
                 raise CheckpointError(f"checkpoint block '{name}' appears more than once")
             params[name] = arr
@@ -161,16 +173,17 @@ def load_checkpoint(path: str) -> Checkpoint:
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     """Rebuild a model from the stored config and the stored parameters.
 
-    The stored tensors become the model's parameters directly; no fresh
-    initialisation is drawn first.
+    The stored arrays become the model's parameters directly, without a
+    copy, so the model and `ckpt` share them; no fresh initialisation is
+    drawn first.
     """
     cfg = ckpt.run_config()
-    stored = _stored_params(param_shapes(cfg), ckpt)
-    return Model(cfg, {name: Tensor(arr, requires_grad=True) for name, arr in stored.items()})
+    return Model(cfg, _stored_params(param_shapes(cfg), ckpt))
 
 
-def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    """Float64 copies of exactly the checkpoint tensors named in `shapes`, all finite."""
+def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict[str, Tensor]:
+    """Exactly the checkpoint tensors named in `shapes`, all finite, as trainable Tensors."""
+    params: dict[str, Tensor] = {}
     for name, shape in shapes.items():
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint is missing parameter '{name}'")
@@ -179,10 +192,12 @@ def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict
             raise ShapeError(
                 f"checkpoint tensor '{name}' has shape {stored.shape}, model expects {shape}"
             )
-        if not np.isfinite(stored).all():
-            raise CheckpointError(f"checkpoint tensor '{name}' holds non-finite values")
+        try:  # the Tensor's own finiteness scan is the only one
+            params[name] = Tensor(stored, requires_grad=True)
+        except NumericError as exc:
+            raise CheckpointError(f"checkpoint tensor '{name}' holds non-finite values") from exc
     extra = sorted(set(ckpt.params) - set(shapes))
     if extra:
         names = ", ".join(map(repr, extra[:3])) + (", ..." if len(extra) > 3 else "")
         raise CheckpointError(f"checkpoint has {len(extra)} unknown parameters: {names}")
-    return {name: ckpt.params[name].astype(np.float64) for name in shapes}
+    return params

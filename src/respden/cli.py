@@ -94,7 +94,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     cfg = model.cfg
-    for key in ("dataset", "split_file", "seed"):
+    if args.dataset is not None:
+        # the stored split file names the training corpus's recordings, not this one's
+        cfg.dataset, cfg.split_file = args.dataset, ""
+    for key in ("split_file", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

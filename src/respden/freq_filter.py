@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
 from .fourier import fft2, ifft2, scale_complex
-from .tensor import Tensor, _check_finite, soft_shrink
+from .tensor import Tensor, _check_clips, _check_finite, soft_shrink
 
 #: rows per block of the mask MLP: a 1024 x hidden float64 block of the
 #: hidden layer (256 KiB at hidden width 32) fits in L2 cache
@@ -67,18 +66,22 @@ def _hidden(feats: np.ndarray, w1b: np.ndarray, buf: np.ndarray, check: bool) ->
     return np.maximum(h, 0.0, out=h)
 
 
-def _blocks(rows: int) -> list[slice]:
-    return [slice(lo, lo + MASK_BLOCK) for lo in range(0, rows, MASK_BLOCK)]
+def _blocks(rows: int, clip_rows: int) -> list[slice]:
+    """`MASK_BLOCK`-row blocks that restart at each clip's first row, so a stack
+    of clips runs exactly the block shapes of each clip alone."""
+    return [slice(c + lo, c + min(lo + MASK_BLOCK, clip_rows))
+            for c in range(0, rows, clip_rows) for lo in range(0, clip_rows, MASK_BLOCK)]
 
 
-def _mlp(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """relu(feats @ w1b) @ w2 per row, without the output bias, block by block."""
+def _mlp(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int) -> np.ndarray:
+    """relu(feats @ w1b) @ w2 per row, without the output bias, block by block
+    within each `clip_rows`-row clip."""
     raw = np.empty(len(feats))
     buf = np.empty((MASK_BLOCK, w1b.shape[1]))
     # max |re|, |im|, |w1[0]|, |w1[1]|, |b1| as Python floats: their products overflow quietly
     peak = [float(np.abs(a).max()) for a in (feats[:, 0], feats[:, 1], *w1b)]
     check = not peak[0] * peak[2] + peak[1] * peak[3] + peak[4] < 1e300
-    for blk in _blocks(len(feats)):
+    for blk in _blocks(len(feats), clip_rows):
         np.matmul(_hidden(feats[blk], w1b, buf, check), w2[:, 0], out=raw[blk])
     return raw
 
@@ -100,7 +103,7 @@ def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
     d_w2 = np.zeros(hidden)
     d_feats = np.empty((len(feats), 2)) if want_feats else None
     w_in = (w1b[:2] * w2[:, 0]).T
-    for blk in _blocks(len(feats)):
+    for blk in _blocks(len(feats), len(feats)):
         h = _hidden(feats[blk], w1b, buf, check=False)
         g = d_raw[blk]
         d_w2 += g @ h
@@ -133,25 +136,29 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
     v = 0 and v = F/2 and 2 elsewhere, then through the mask product, the
     shrink and the MLP. The pullback onto x, needed only when x requires
     grad, is the adjoint of rfft2: a zero-padded full inverse DFT times T F.
+
+    Under no_grad, x may be a (B, T, F) stack: the transforms run over the
+    last two axes and one MLP call over every clip's rows.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"filter_forward expects a 2-D tensor, got shape {x.shape}")
+    _check_clips(x, "filter_forward")
     w1b, w2 = _stacked(params), params.w2.data
-    t, f = x.shape
+    *lead, t, f = x.shape
     spec = np.fft.rfft2(x.data)
-    half = spec.shape
-    n = spec.size
-    feats = np.empty((2, *half, 3))  # rows (re, im, 1), then the partners' (re, -im, 1)
-    feats[..., 0] = spec.real
-    feats[0, ..., 1] = spec.imag
-    np.negative(spec.imag, out=feats[1, ..., 1])
-    feats[..., 2] = 1.0
-    feats = feats.reshape(2 * n, 3)
-    raw = _mlp(feats, w1b, w2)
-    g = 0.5 * (raw[:n] + raw[n:]) + params.b2.data
+    half = spec.shape[-2:]
+    n = half[0] * half[1]
+    # per clip, rows (re, im, 1), then the partners' (re, -im, 1)
+    feats = np.empty((*lead, 2, *half, 3))
+    pair = np.moveaxis(feats, -4, 0)
+    pair[..., 0] = spec.real
+    pair[0, ..., 1] = spec.imag
+    np.negative(spec.imag, out=pair[1, ..., 1])
+    pair[..., 2] = 1.0
+    feats = feats.reshape(-1, 3)
+    raw = _mlp(feats, w1b, w2, 2 * n).reshape(*lead, 2, n)
+    g = 0.5 * (raw[..., 0, :] + raw[..., 1, :]) + params.b2.data
     _check_finite(g, "mask_net output")
     # soft_shrink's rule, keeping where its subgradient is 1
-    g = g.reshape(half)
+    g = g.reshape(spec.shape)
     live = np.abs(g) > params.alpha
     m = np.where(live, np.sign(g) * (np.abs(g) - params.alpha), 0.0)
     out = np.fft.irfft2(m * spec, s=(t, f))
@@ -190,7 +197,7 @@ def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
     w1b, w2 = _stacked(params), params.w2.data
     _, t, f = spectrum.shape
     feats = _features(spectrum.data[0], spectrum.data[1])
-    out = _mlp(feats, w1b, w2) + params.b2.data
+    out = _mlp(feats, w1b, w2, len(feats)) + params.b2.data
 
     def backward(g):
         g = g.reshape(-1)

@@ -55,8 +55,8 @@ def smoothed_target(label: int, epsilon: float) -> np.ndarray:
 
 
 def pooled_features(p: Tensor) -> Tensor:
-    """Mean over tokens as a 1 x D row, off the tape."""
-    return Tensor(p.data.mean(axis=0, keepdims=True))
+    """Mean over tokens as a 1 x D row (B x 1 x D for a stack of B clips), off the tape."""
+    return Tensor(p.data.mean(axis=-2, keepdims=True))
 
 
 def _head(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
@@ -64,8 +64,10 @@ def _head(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
 
 
 def cls_logits(p: Tensor, head: HeadParams) -> np.ndarray:
-    """Prediction-head logits on pooled features, as a length-C array (forward only)."""
-    return _head(pooled_features(p).data, head.cls_w, head.cls_b)[0]
+    """Prediction-head logits on pooled features, as a length-C array, or B x C for a
+    stack of B clips (forward only). Each clip keeps its own 1 x D @ D x C product,
+    so its logits carry the bits they have alone."""
+    return _head(pooled_features(p).data, head.cls_w, head.cls_b)[..., 0, :]
 
 
 def total_loss(p: Tensor, label: int, beta: float, epsilon: float, head: HeadParams) -> Tensor:

@@ -186,9 +186,15 @@ class Model:
         return total_loss(self.features(spec), label, beta, self.cfg.epsilon, self.head_params())
 
     def logits(self, spec) -> np.ndarray:
+        """Prediction-head logits of one (T, F) spectrogram, or (B, C) for a (B, T, F) stack;
+        each clip's row equals its logits alone bit for bit."""
         with no_grad():
             return cls_logits(self.features(spec), self.head_params())
 
-    def predict(self, spec) -> int:
-        """Argmax over prediction-head logits; ties go to the lower class index."""
-        return int(np.argmax(self.logits(spec)))
+    def predict(self, spec) -> int | np.ndarray:
+        """Argmax over prediction-head logits; ties go to the lower class index.
+
+        An int for one (T, F) spectrogram, a (B,) int array for a (B, T, F) stack.
+        """
+        labels = np.argmax(self.logits(spec), axis=-1)
+        return int(labels) if labels.ndim == 0 else labels

@@ -44,6 +44,17 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values produced by {what}")
 
 
+def _check_clips(x: Tensor, what: str) -> None:
+    """A model layer takes one clip's 2-D array, or under no_grad a 3-D stack of them.
+
+    The layers' backward rules are written for one clip, so a stack is
+    forward-only: its outputs equal each clip's own bit for bit.
+    """
+    if x.data.ndim != 2 and (x.data.ndim != 3 or _grad_enabled):
+        raise ShapeError(f"{what} expects a 2-D tensor, or a 3-D stack under no_grad, "
+                         f"got shape {x.shape}")
+
+
 class Tensor:
     """n-dimensional float64 array participating in the differentiation graph."""
 

@@ -75,6 +75,23 @@ class TestRoundtrip:
         for name, p in model.params.items():
             np.testing.assert_array_equal(rebuilt.params[name].data, p.data)
 
+    def test_model_takes_the_read_arrays_with_one_scan_each(self, saved, monkeypatch):
+        _, _, path = saved
+        ckpt = load_checkpoint(path)
+        scans = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            scans.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        model = model_from_checkpoint(ckpt)
+        for name, arr in ckpt.params.items():
+            assert model.params[name].data is arr, name  # read once, never copied
+        assert len(scans) == len(ckpt.params)
+        assert all(any(x is arr for x in scans) for arr in ckpt.params.values())
+
     def test_checkpoint_without_adam_state(self, tmp_path):
         model = Model(small_cfg())
         path = tmp_path / "bare.bin"

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,23 @@ class TestTrainEvalCommands:
         code, _, err = run(["train", "--epochs", "1", "--dataset", ds,
                             "--out-dir", out_dir, *TINY], capsys)
         assert code == 0, err
+
+    def test_eval_dataset_without_split_file_reads_its_own(self, tmp_path, capsys):
+        # the training run's --split-file lists the first corpus only
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert run(["synth", "--out-dir", first, *TINY], capsys)[0] == 0
+        assert run(["synth", "--out-dir", second, *TINY, "--test-per-class", "2"], capsys)[0] == 0
+        split_file = str(tmp_path / "first-split.txt")
+        shutil.move(os.path.join(first, "split.txt"), split_file)
+        out_dir = str(tmp_path / "run")
+        code, _, err = run(["train", "--epochs", "0", "--dataset", first, "--split-file", split_file,
+                            "--out-dir", out_dir, *TINY], capsys)
+        assert code == 0, err
+        code, out, err = run(["eval", "--checkpoint", os.path.join(out_dir, "checkpoint.bin"),
+                              "--dataset", second], capsys)
+        assert code == 0, err
+        confusion = out.split("Sp/Se/Score")[0]
+        assert sum(int(v) for v in re.findall(r"\d+", confusion)) == 8  # 2 test clips per class
 
 
 class TestExitCodes:

@@ -6,11 +6,15 @@ refactor that renames, moves or re-signs one of them must fail here rather
 than inside a benchmark run.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
+from unittest import mock
 
 import pytest
+
+from respden.config import RunConfig
 
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -25,6 +29,8 @@ def load_perfbench(name: str):
 
 
 workloads = load_perfbench("workloads")
+with mock.patch.dict(os.environ):  # run.py pins BLAS threads in the environment at import
+    bench = load_perfbench("run")
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +75,24 @@ def test_workload_runs_without_failed_operations(name, tmp_path):
     stats = workload.run(0.0, None, StubCalibrator())
     assert stats.errors == []
     assert stats.failed == 0 and stats.attempted > 0
+
+
+@pytest.mark.parametrize("name", ["train-synth", "eval-heldout"])
+def test_traced_graph_node_counts(name, tracer_module, tmp_path):
+    # the self-test size at the default depth of 4 blocks: a scored clip is the
+    # filter, patch embedding, 2 nodes per block and the final layer norm; a
+    # training sample adds the heads + loss node.  Evaluation nodes made
+    # outside the `model.predict` span would count as step nodes.
+    workload = workloads.WORKLOADS[name](seed=0, minimal=True, workdir=str(tmp_path))
+    workload.cfg = dataclasses.replace(workload.cfg, layers=RunConfig().layers)
+    workload.setup()
+    tracer = tracer_module.Tracer()
+    stats = workload.run(0.0, tracer, StubCalibrator())
+    assert stats.errors == []
+    metrics, _, mismatched = bench.layer_metrics(tracer, stats)
+    assert mismatched == []
+    assert metrics["tensor.ops_per_clip"] == 11
+    if name == "train-synth":
+        cfg = workload.cfg
+        steps = -(-workload.n_train // cfg.batch) * cfg.epochs
+        assert metrics["tensor.ops_per_step"] == 12 * workload.n_train * cfg.epochs / steps
