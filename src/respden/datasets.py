@@ -25,7 +25,7 @@ import numpy as np
 from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS, resampled_length
 from .errors import DatasetError, MissingAudioError
 # read_wav is unused here but stays importable: perfbench/tracer.py wraps datasets.read_wav
-from .wavio import WavHeader, read_header, read_wav, write_wav
+from .wavio import MAX_SAMPLE_RATE, WavHeader, read_header, read_wav, write_wav
 
 SPLITS = ("train", "test")
 
@@ -84,9 +84,9 @@ def parse_annotation_file(path: str) -> list[tuple[float, float, Label]]:
             crackle, wheeze = int(cols[2]), int(cols[3])
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-        if not (math.isfinite(start) and math.isfinite(end)) or start < 0:
-            raise DatasetError(f"{path}:{lineno}: cycle times must be finite and >= 0, "
-                               f"got start {start}, end {end}")
+        if not (math.isfinite(start) and math.isfinite(end * MAX_SAMPLE_RATE)) or start < 0:
+            raise DatasetError(f"{path}:{lineno}: cycle times must be >= 0 and finite in "
+                               f"frames at {MAX_SAMPLE_RATE} Hz, got start {start}, end {end}")
         if end <= start:
             raise DatasetError(f"{path}:{lineno}: cycle end {end} <= start {start}")
         if crackle not in (0, 1) or wheeze not in (0, 1):
@@ -96,10 +96,13 @@ def parse_annotation_file(path: str) -> list[tuple[float, float, Label]]:
 
 
 def parse_split_file(path: str) -> dict[str, str]:
+    """Split of each recording named by ``name<TAB>train|test`` lines; a name appears once."""
     splits = {}
     for lineno, cols in _text_rows(path):
         if len(cols) != 2 or cols[1] not in SPLITS:
             raise DatasetError(f"{path}:{lineno}: expected 'name<TAB>train|test'")
+        if cols[0] in splits:
+            raise DatasetError(f"{path}:{lineno}: recording {cols[0]} is named more than once")
         splits[cols[0]] = cols[1]
     return splits
 

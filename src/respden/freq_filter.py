@@ -18,8 +18,10 @@ below 1e300 proves every hidden pre-activation finite; otherwise (NaN and
 inf included) each block's is checked for NaN/Inf. The mask and the output
 are checked too, so an overflow anywhere raises `NumericError`.
 
-`reference_filter` is the six-node full-plane chain it replaced, kept as
-the reference the tests compare it against.
+Its forward runs six stages, `fft2`, `mask_net`, `symmetrize`, `soft_shrink`,
+`scale_complex` and `ifft2`, looked up by name at call time so that a tracer
+replacing one times that stage; the backward calls none. The six-node tape
+chain the node replaced is the tests' reference, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fft2, ifft2, scale_complex
-from .tensor import Tensor, _check_clips, _check_finite, soft_shrink
+from .tensor import Tensor, _check_clips, _check_finite
 
 #: rows per block of the mask MLP: a 1024 x hidden float64 block of the
 #: hidden layer (256 KiB at hidden width 32) fits in L2 cache
@@ -53,9 +54,9 @@ class FilterParams:
             raise ValueError(f"shrink threshold must be >= 0, got {self.alpha}")
 
 
-def _features(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(k, 3) MLP input table with rows (re, im, 1); the 1 carries the bias b1."""
-    return np.column_stack((re.reshape(-1), im.reshape(-1), np.ones(re.size)))
+def fft2(x: np.ndarray) -> np.ndarray:
+    """Stage 1: the half-plane spectrum rfft2(x) of each clip."""
+    return np.fft.rfft2(x)
 
 
 def _hidden(feats: np.ndarray, w1b: np.ndarray, buf: np.ndarray, check: bool) -> np.ndarray:
@@ -73,9 +74,9 @@ def _blocks(rows: int, clip_rows: int) -> list[slice]:
             for c in range(0, rows, clip_rows) for lo in range(0, clip_rows, MASK_BLOCK)]
 
 
-def _mlp(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int) -> np.ndarray:
-    """relu(feats @ w1b) @ w2 per row, without the output bias, block by block
-    within each `clip_rows`-row clip."""
+def mask_net(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int) -> np.ndarray:
+    """Stage 2: relu(feats @ w1b) @ w2 per row, without the output bias, block by
+    block within each `clip_rows`-row clip."""
     raw = np.empty(len(feats))
     buf = np.empty((MASK_BLOCK, w1b.shape[1]))
     # max |re|, |im|, |w1[0]|, |w1[1]|, |b1| as Python floats: their products overflow quietly
@@ -86,8 +87,31 @@ def _mlp(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int) -> 
     return raw
 
 
+def symmetrize(raw: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Stage 3: the mean of each bin's and its partner's MLP output, plus b2."""
+    g = 0.5 * (raw[..., 0, :] + raw[..., 1, :]) + b2
+    _check_finite(g, "mask_net output")
+    return g
+
+
+def soft_shrink(g: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 4: sign(g) max(|g| - alpha, 0), and where its subgradient is 1."""
+    live = np.abs(g) > alpha
+    return np.where(live, np.sign(g) * (np.abs(g) - alpha), 0.0), live
+
+
+def scale_complex(m: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Stage 5: the real mask times the complex half-plane spectrum."""
+    return m * spec
+
+
+def ifft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Stage 6: the real T x F signal irfft2(spec) of each clip."""
+    return np.fft.irfft2(spec, s=shape)
+
+
 def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
-    """Cotangents (d_w1b, d_w2, d_feats or None) of `_mlp` for cotangent `d_raw`.
+    """Cotangents (d_w1b, d_w2, d_feats or None) of `mask_net` for cotangent `d_raw`.
 
     Recomputes each block's hidden layer with the forward's block bounds,
     so it sees bit for bit the forward's activations (already checked
@@ -115,10 +139,6 @@ def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
     return d_w1b * w2[:, 0], d_w2.reshape(-1, 1), d_feats
 
 
-def _stacked(params: FilterParams) -> np.ndarray:
-    return np.vstack((params.w1.data, params.b1.data))
-
-
 def _column_weights(f: int) -> np.ndarray:
     """How often each half-plane column appears in the full F-wide plane."""
     c = np.full(f // 2 + 1, 2.0)
@@ -141,9 +161,9 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
     last two axes and one MLP call over every clip's rows.
     """
     _check_clips(x, "filter_forward")
-    w1b, w2 = _stacked(params), params.w2.data
+    w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     *lead, t, f = x.shape
-    spec = np.fft.rfft2(x.data)
+    spec = fft2(x.data)
     half = spec.shape[-2:]
     n = half[0] * half[1]
     # per clip, rows (re, im, 1), then the partners' (re, -im, 1)
@@ -154,14 +174,10 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
     np.negative(spec.imag, out=pair[1, ..., 1])
     pair[..., 2] = 1.0
     feats = feats.reshape(-1, 3)
-    raw = _mlp(feats, w1b, w2, 2 * n).reshape(*lead, 2, n)
-    g = 0.5 * (raw[..., 0, :] + raw[..., 1, :]) + params.b2.data
-    _check_finite(g, "mask_net output")
-    # soft_shrink's rule, keeping where its subgradient is 1
-    g = g.reshape(spec.shape)
-    live = np.abs(g) > params.alpha
-    m = np.where(live, np.sign(g) * (np.abs(g) - params.alpha), 0.0)
-    out = np.fft.irfft2(m * spec, s=(t, f))
+    raw = mask_net(feats, w1b, w2, 2 * n).reshape(*lead, 2, n)
+    g = symmetrize(raw, params.b2.data).reshape(spec.shape)
+    m, live = soft_shrink(g, params.alpha)
+    out = ifft2(scale_complex(m, spec), (t, f))
 
     def backward(gy):
         d_spec = np.fft.rfft2(gy)
@@ -183,57 +199,3 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
 
     return Tensor._from_op(out, (x, params.w1, params.b1, params.w2, params.b2), backward,
                            "filter_forward")
-
-
-# -- the full-plane reference chain ------------------------------------------------
-
-
-def mask_net(spectrum: Tensor, params: FilterParams) -> Tensor:
-    """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
-
-    relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
-    the full plane, through the same blocked MLP as `filter_forward`.
-    """
-    w1b, w2 = _stacked(params), params.w2.data
-    _, t, f = spectrum.shape
-    feats = _features(spectrum.data[0], spectrum.data[1])
-    out = _mlp(feats, w1b, w2, len(feats)) + params.b2.data
-
-    def backward(g):
-        g = g.reshape(-1)
-        d_w1b, d_w2, d_feats = _mlp_pullback(feats, w1b, w2, g, spectrum.requires_grad)
-        # a data spectrum needs no pullback; the tape skips a None
-        d_spectrum = None if d_feats is None else d_feats.T.reshape(2, t, f)
-        return d_spectrum, d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
-
-    return Tensor._from_op(out.reshape(t, f), (spectrum, params.w1, params.b1, params.w2, params.b2),
-                           backward, "mask_net")
-
-
-def _negation_perm(n: int) -> np.ndarray:
-    return (-np.arange(n)) % n
-
-
-def symmetrize(m: Tensor) -> Tensor:
-    """Average each bin of a T x F mask with its conjugate partner; makes it even.
-
-    0.5 * (m + m[perm]) with perm the frequency negation (an involution),
-    so the map is self-adjoint and the backward applies it to the cotangent.
-    """
-    perm = np.ix_(_negation_perm(m.shape[0]), _negation_perm(m.shape[1]))
-
-    def average(a: np.ndarray) -> np.ndarray:
-        return 0.5 * (a + a[perm])
-
-    return Tensor._from_op(average(m.data), (m,), lambda g: (average(g),), "symmetrize")
-
-
-def reference_filter(x: Tensor, params: FilterParams) -> Tensor:
-    """The full-plane chain fft2 -> mask_net -> symmetrize -> soft_shrink -> ifft2.
-
-    Six tape nodes computing what `filter_forward` computes in one; the
-    tests compare the two.
-    """
-    spectrum = fft2(x)
-    mask = soft_shrink(symmetrize(mask_net(spectrum, params)), params.alpha)
-    return ifft2(scale_complex(spectrum, mask))

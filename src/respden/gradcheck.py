@@ -24,7 +24,7 @@ from .config import RunConfig, validate_config
 from .freq_filter import FilterParams, filter_forward
 from .losses import HeadParams, total_loss
 from .model import Model, seed_stream
-from .tensor import Tensor, layer_norm, no_grad, soft_shrink
+from .tensor import Tensor, layer_norm, no_grad
 
 FD_STEP = 1e-3
 OP_TOL = 1e-4
@@ -159,25 +159,6 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     check("swish_glu", lambda: swish_glu(x_gl, g_gl, b_gl, w1, w2, w3),
           {"x": x_gl, "ln.g": g_gl, "ln.b": b_gl, "w1": w1, "w2": w2, "w3": w3},
           _weights((2, 4), 11))
-
-    # keep probe points away from the |x| = alpha kink (step is 1e-3)
-    raw = rng.standard_normal((3, 4))
-    raw = np.where(np.abs(np.abs(raw) - 0.5) < 0.05, raw + 0.2, raw)
-    x_sh = Tensor(raw, requires_grad=True)
-    check("soft_shrink", lambda: soft_shrink(x_sh, 0.5), {"x": x_sh}, _weights((3, 4), 12))
-
-    # fft2 -> fixed real mask -> ifft2 chain; the mask must be even-symmetric
-    # for the inverse to be real
-    x_f = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    raw_mask = rng.standard_normal((4, 5))
-    sym_mask = 0.5 * (raw_mask + raw_mask[np.ix_((-np.arange(4)) % 4, (-np.arange(5)) % 5)])
-
-    def fourier_chain():
-        from .fourier import fft2, ifft2, scale_complex
-
-        return ifft2(scale_complex(fft2(x_f), Tensor(sym_mask)))
-
-    check("fourier_chain", fourier_chain, {"x": x_f}, _weights((4, 5), 13))
 
     # the attention sublayer, x + attention(LN(x)), and one full block
     d_model, heads = 8, 2

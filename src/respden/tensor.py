@@ -172,23 +172,6 @@ class Tensor:
                 node.grad = None
 
 
-# -- elementwise ------------------------------------------------------------------
-
-
-def soft_shrink(a: Tensor, alpha: float) -> Tensor:
-    """sign(x) * max(|x| - alpha, 0); dead-zone subgradient is 0 at |x| = alpha."""
-    if alpha < 0:
-        raise ValueError(f"soft_shrink threshold must be >= 0, got {alpha}")
-    mag = np.abs(a.data)
-    mask = mag > alpha
-    out = np.where(mask, np.sign(a.data) * (mag - alpha), 0.0)
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor._from_op(out, (a,), backward, "soft_shrink")
-
-
 # -- fused neural-net primitives -------------------------------------------------
 
 #: variance floor of every layer norm

@@ -3,8 +3,8 @@
 The loop is deterministic under a fixed seed: model init, data synthesis,
 and per-epoch shuffling each draw from named child streams of the root
 seed, and gradients are reduced in fixed index order. Per-epoch records
-(epoch, train loss, Se, Sp, Score) are appended to a line-delimited JSON
-log.
+(epoch, train loss, Se, Sp, Score) go to a line-delimited JSON log, each
+as its epoch ends, after a header written before the data loads.
 """
 
 from __future__ import annotations
@@ -152,6 +152,12 @@ def header_line(cfg: RunConfig) -> str:
     return json.dumps({"type": "header", "config": cfg.snapshot()}, sort_keys=True)
 
 
+def _write_line(path: str, line: str, mode: str) -> None:
+    """Write one log line and close the file, so a run that aborts later keeps it."""
+    with open(path, mode, encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
 def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
           clips: Sequence[AudioClip] | None = None,
           log_path: str | None = None) -> TrainResult:
@@ -162,13 +168,17 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
     a diagnostic naming the epoch and step, and non-finite values in an
     epoch's evaluation with one naming the epoch.
     """
+    header = header_line(cfg)
+    if log_path:
+        os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
+        _write_line(log_path, header, "w")
     data = prepare_data(cfg, manifest, clips)
     if not data.train_idx:
         raise TrainingError("training split is empty")
     model = Model(cfg, rng=seed_stream(cfg.seed, "init"))
     shuffle_rng = seed_stream(cfg.seed, "shuffle")
     adam = AdamState()
-    result = TrainResult(model, adam, [], [], [header_line(cfg)])
+    result = TrainResult(model, adam, [], [], [header])
     metric_idx = data.test_idx if data.test_idx else data.train_idx
 
     steps_done = 0
@@ -197,9 +207,6 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
         record = EpochRecord(epoch, epoch_loss / max(seen, 1), report.se, report.sp, report.score)
         result.history.append(record)
         result.log_lines.append(record.to_json())
-
-    if log_path:
-        os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.log_lines) + "\n")
+        if log_path:
+            _write_line(log_path, result.log_lines[-1], "a")
     return result

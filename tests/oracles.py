@@ -2,14 +2,20 @@
 
 Everything here is deliberately naive (explicit loops, direct sums,
 scripted recurrences) and never calls the library paths it checks. The
-exceptions are two unfused tape chains, built from the library's unfused
-primitives plus the generic `add`, `mul`, `matmul` and `patchify` nodes
-kept here, so that the fused nodes can be required to be bit-identical to
-them: the 11-node denoise block that the two fused sublayer nodes
-replaced, and the 4-node patch embedding that the fused `patch_embed`
-replaced. `mul` is also the oracle of `fourier.scale_complex`. The
-resampling oracle is scipy's `resample_poly`, whose per-sample `upfirdn`
-loop the library's polyphase GEMMs replaced.
+exceptions are three unfused tape chains, built from the library's unfused
+primitives plus the generic nodes kept here, so that the fused nodes can
+be checked against them. Two use the `add`, `mul`, `matmul` and
+`patchify` nodes, and the fused nodes must be bit-identical to them: the
+11-node denoise block that the two fused sublayer nodes replaced, and the
+4-node patch embedding that the fused `patch_embed` replaced. The third is
+the six-node full-plane filter chain (`fft2`, `mask_net`, `symmetrize`,
+`soft_shrink`, `scale_complex`, `ifft2`, composed by `reference_filter`)
+that the one-node `freq_filter.filter_forward` replaced; it must agree to
+1e-10. Its `mask_net` node runs the library's blocked MLP and pullback, so
+the per-bin loop oracle checks that MLP through it. `mul` is also the
+oracle of the chain's `scale_complex`. The resampling oracle is scipy's
+`resample_poly`, whose per-sample `upfirdn` loop the library's polyphase
+GEMMs replaced.
 The summed-batch loss is the one-graph training step that the streamed
 per-sample backward replaced. The direct hybrid loss is the value oracle
 for the fused heads + loss node. The direct layer norm, attention and
@@ -29,8 +35,9 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
+import respden.freq_filter as freq_filter
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
-from respden.errors import ShapeError
+from respden.errors import NumericError, ShapeError
 from respden.tensor import Tensor, _check_finite, layer_norm
 
 
@@ -110,6 +117,146 @@ def patchify(x: Tensor) -> Tensor:
 def patch_embed_chain(x: Tensor, params) -> Tensor:
     """Patch embedding as four tape nodes: patchify, matmul, add, add."""
     return add(add(matmul(patchify(x), params.patch_w), params.patch_b), params.pos)
+
+
+# -- the six-node full-plane filter chain -----------------------------------------
+#
+# A complex T x F spectrum is carried as one real (2, T, F) tensor, the real
+# part stacked on the imaginary part, so each transform is a single tape
+# node. Convention: the forward transform is the plain double sum with
+# negative exponent and no normalization; the inverse carries the 1/(T*F)
+# factor.
+
+#: largest |imaginary residue| accepted when inverting a spectrum that is
+#: claimed to come from a real signal
+REAL_RESIDUE_TOL = 1e-9
+
+
+def fft2(x: Tensor) -> Tensor:
+    """Unnormalized 2-D DFT of a real T x F tensor, as a (2, T, F) spectrum.
+
+    The map is linear, so the pullback of (g_re, g_im) is the real part of
+    the adjoint (conjugate-transposed) DFT applied to g_re + i*g_im, which
+    equals T*F times the normalized inverse transform.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"fft2 expects a 2-D tensor, got shape {x.shape}")
+    spec = np.fft.fft2(x.data)
+    n = x.data.size
+
+    def backward(g):
+        return (np.real(np.fft.ifft2(g[0] + 1j * g[1])) * n,)
+
+    return Tensor._from_op(np.stack((spec.real, spec.imag)), (x,), backward, "fft2")
+
+
+def ifft2(spectrum: Tensor) -> Tensor:
+    """Normalized inverse 2-D DFT of a (2, T, F) spectrum, returning the real signal.
+
+    The input must be (numerically) Hermitian-symmetric; if the imaginary
+    residue of the inverse exceeds `REAL_RESIDUE_TOL` the claimed-real
+    inverse is rejected with `NumericError`.
+    """
+    s = spectrum.data
+    if s.ndim != 3 or s.shape[0] != 2:
+        raise ShapeError(f"ifft2 expects a (2, T, F) spectrum, got shape {spectrum.shape}")
+    inv = np.fft.ifft2(s[0] + 1j * s[1])
+    residue = float(np.abs(inv.imag).max()) if inv.size else 0.0
+    if residue > REAL_RESIDUE_TOL:
+        raise NumericError(
+            f"inverse transform of a claimed-real spectrum has imaginary residue "
+            f"{residue:.3e} > {REAL_RESIDUE_TOL:.3e}"
+        )
+    out = np.ascontiguousarray(inv.real)
+    n = out.size
+
+    # adjoint of Re o ifft2, stacked as (re, im)
+    def backward(g):
+        w = np.fft.fft2(g) / n
+        return (np.stack((w.real, w.imag)),)
+
+    return Tensor._from_op(out, (spectrum,), backward, "ifft2")
+
+
+def scale_complex(spectrum: Tensor, mask: Tensor) -> Tensor:
+    """Multiply a real T x F mask elementwise into both parts of a (2, T, F) spectrum."""
+
+    def backward(g):
+        return ((g * spectrum.data).sum(axis=0) if mask.requires_grad else None,
+                g * mask.data if spectrum.requires_grad else None)
+
+    return Tensor._from_op(mask.data * spectrum.data, (mask, spectrum), backward, "scale_complex")
+
+
+def soft_shrink(a: Tensor, alpha: float) -> Tensor:
+    """sign(x) * max(|x| - alpha, 0); dead-zone subgradient is 0 at |x| = alpha."""
+    if alpha < 0:
+        raise ValueError(f"soft_shrink threshold must be >= 0, got {alpha}")
+    mag = np.abs(a.data)
+    mask = mag > alpha
+    out = np.where(mask, np.sign(a.data) * (mag - alpha), 0.0)
+
+    def backward(g):
+        return (g * mask,)
+
+    return Tensor._from_op(out, (a,), backward, "soft_shrink")
+
+
+def _features(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(k, 3) MLP input table with rows (re, im, 1); the 1 carries the bias b1."""
+    return np.column_stack((re.reshape(-1), im.reshape(-1), np.ones(re.size)))
+
+
+def mask_net(spectrum: Tensor, params) -> Tensor:
+    """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
+
+    relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
+    the full plane, through the library's blocked MLP and its pullback.
+    """
+    w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
+    _, t, f = spectrum.shape
+    feats = _features(spectrum.data[0], spectrum.data[1])
+    out = freq_filter.mask_net(feats, w1b, w2, len(feats)) + params.b2.data
+
+    def backward(g):
+        g = g.reshape(-1)
+        d_w1b, d_w2, d_feats = freq_filter._mlp_pullback(feats, w1b, w2, g,
+                                                         spectrum.requires_grad)
+        # a data spectrum needs no pullback; the tape skips a None
+        d_spectrum = None if d_feats is None else d_feats.T.reshape(2, t, f)
+        return d_spectrum, d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
+
+    return Tensor._from_op(out.reshape(t, f), (spectrum, params.w1, params.b1, params.w2, params.b2),
+                           backward, "mask_net")
+
+
+def _negation_perm(n: int) -> np.ndarray:
+    return (-np.arange(n)) % n
+
+
+def symmetrize(m: Tensor) -> Tensor:
+    """Average each bin of a T x F mask with its conjugate partner; makes it even.
+
+    0.5 * (m + m[perm]) with perm the frequency negation (an involution),
+    so the map is self-adjoint and the backward applies it to the cotangent.
+    """
+    perm = np.ix_(_negation_perm(m.shape[0]), _negation_perm(m.shape[1]))
+
+    def average(a: np.ndarray) -> np.ndarray:
+        return 0.5 * (a + a[perm])
+
+    return Tensor._from_op(average(m.data), (m,), lambda g: (average(g),), "symmetrize")
+
+
+def reference_filter(x: Tensor, params) -> Tensor:
+    """The full-plane chain fft2 -> mask_net -> symmetrize -> soft_shrink -> ifft2.
+
+    Six tape nodes computing what `freq_filter.filter_forward` computes in
+    one; the tests compare the two.
+    """
+    spectrum = fft2(x)
+    mask = soft_shrink(symmetrize(mask_net(spectrum, params)), params.alpha)
+    return ifft2(scale_complex(spectrum, mask))
 
 
 def dft2_direct(x: np.ndarray) -> np.ndarray:

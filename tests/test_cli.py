@@ -136,7 +136,7 @@ class TestExitCodes:
         assert err.startswith("error:") and "UTF-8" in err
 
     @pytest.mark.parametrize("start,end", [("nan", "1.0"), ("0.0", "inf"), ("-1.0", "1.0"),
-                                           ("-1.0", "7.5")])
+                                           ("-1.0", "7.5"), ("0.0", "1e305")])
     def test_bad_cycle_times_are_3(self, start, end, tmp_path, capsys):
         ds = tmp_path / "ds"
         code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
@@ -205,6 +205,9 @@ class TestExitCodes:
                                 "--layers", "1", "--out-dir", str(tmp_path / "run")], capsys)
         assert code == 1
         assert err.startswith("error:") and "epoch 0" in err and "Traceback" not in err
+        # the log was written as the run went: its header survives the abort
+        header, = Path(tmp_path, "run", "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(header)["config"]["lr"] == 1e300
 
     @pytest.mark.parametrize("flags", [["--lr", "inf"], ["--weight-decay", "inf"],
                                        ["--alpha", "inf"]])

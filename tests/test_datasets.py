@@ -117,9 +117,11 @@ class TestAnnotationGrammar:
             parse_annotation_file(str(path))
 
     #: cycle times that are not finite or start before the recording; (-1, 7.5)
-    #: would otherwise slice from near the recording's end (samples[-rate:])
+    #: would otherwise slice from near the recording's end (samples[-rate:]),
+    #: and (0, 1e305) overflow to an infinite frame index at 44.1 kHz
     BAD_TIMES = [("nan", "1.0"), ("0.0", "nan"), ("inf", "1.0"), ("0.0", "inf"),
-                 ("-inf", "1.0"), ("0.0", "-inf"), ("-1.0", "1.0"), ("-1.0", "7.5")]
+                 ("-inf", "1.0"), ("0.0", "-inf"), ("-1.0", "1.0"), ("-1.0", "7.5"),
+                 ("0.0", "1e305"), ("1e304", "1e305")]
 
     @pytest.mark.parametrize("start,end", BAD_TIMES, ids=["/".join(t) for t in BAD_TIMES])
     def test_bad_cycle_times_name_the_line(self, tmp_path, start, end):
@@ -127,6 +129,14 @@ class TestAnnotationGrammar:
         path.write_text(f"0.0\t1.0\t0\t0\n{start}\t{end}\t0\t0\n")
         with pytest.raises(DatasetError, match=r"bad\.txt:2"):
             parse_annotation_file(str(path))
+
+    @pytest.mark.parametrize("again", ["train", "test"])
+    def test_recording_named_twice_in_split_file_rejected(self, tmp_path, again):
+        split = write_fixture(tmp_path, "101_a", np.zeros(8000), 4000, ["0.0\t1.0\t0\t0"])
+        with open(split, "a") as fh:
+            fh.write(f"101_a\t{again}\n")
+        with pytest.raises(DatasetError, match=r"split\.txt:2: recording 101_a"):
+            load_dataset(str(tmp_path), split)
 
     def test_label_mapping(self, tmp_path):
         path = tmp_path / "ok.txt"

@@ -8,15 +8,15 @@ from respden.audio import AudioClip, Label, preprocess
 from respden.config import RunConfig
 from respden.datasets import TARGET_RATE, synth_clip
 from respden.errors import NumericError, ShapeError
-from respden.fourier import fft2
-from respden.freq_filter import (
-    MASK_BLOCK, FilterParams, filter_forward, mask_net, reference_filter, symmetrize,
-)
+from respden.freq_filter import MASK_BLOCK, FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model
-from respden.tensor import Tensor, soft_shrink
+from respden.tensor import Tensor
 
-from oracles import filter_direct, pointwise_mask_mlp, pointwise_mask_mlp_grads
+from oracles import (
+    fft2, filter_direct, ifft2, mask_net, pointwise_mask_mlp, pointwise_mask_mlp_grads,
+    reference_filter, scale_complex, soft_shrink, symmetrize,
+)
 
 
 def random_params(rng, hidden=6, alpha=0.02, scale=0.05, requires_grad=False):
@@ -196,8 +196,6 @@ class TestFilterForward:
         frozen = soft_shrink(symmetrize(mask_net(base, params)), params.alpha).data
 
         def apply_frozen(v):
-            from respden.fourier import ifft2, scale_complex
-
             return ifft2(scale_complex(fft2(Tensor(v)), Tensor(frozen))).data
 
         y = rng.standard_normal((5, 6))

@@ -43,8 +43,8 @@ class TestSuites:
 
     def test_per_op_suite_covers_all_operations(self):
         prefixes = {r.name.split(".")[0] for r in per_op_suite(seed=0)}
-        assert {"patch_embed", "layer_norm", "swish_glu", "soft_shrink", "fourier_chain", "mhda",
-                "block", "freq_filter", "total_loss"} <= prefixes
+        assert {"patch_embed", "layer_norm", "swish_glu", "mhda", "block", "freq_filter",
+                "total_loss"} <= prefixes
 
     def test_composed_model_all_pass_and_cover_groups(self):
         rows = composed_model_suite(seed=0, max_entries=3)

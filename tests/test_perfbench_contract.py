@@ -89,9 +89,15 @@ def test_traced_graph_node_counts(name, tracer_module, tmp_path):
     tracer = tracer_module.Tracer()
     stats = workload.run(0.0, tracer, StubCalibrator())
     assert stats.errors == []
-    metrics, _, mismatched = bench.layer_metrics(tracer, stats)
+    metrics, detail, mismatched = bench.layer_metrics(tracer, stats)
     assert mismatched == []
     assert metrics["tensor.ops_per_clip"] == 11
+    # the six spans set on `freq_filter` wrap the fused filter's own forward stages,
+    # which it calls once each
+    stages = [span for owner, _, span in tracer_module.SPANS if owner is tracer_module.freq_filter]
+    calls = {span: detail["spans"].get(span, {}).get("calls", 0) for span in stages}
+    filters = detail["spans"]["freq_filter.filter_forward"]["calls"]
+    assert len(stages) == 6 and filters > 0 and calls == dict.fromkeys(stages, filters)
     if name == "train-synth":
         cfg = workload.cfg
         steps = -(-workload.n_train // cfg.batch) * cfg.epochs

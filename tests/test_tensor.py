@@ -1,18 +1,20 @@
 """Autodiff core: forward values, gradient contracts, error handling.
 
-The generic `add`, `mul` and `matmul` nodes live in `tests/oracles.py`
-(only the unfused oracle chains use them); their contracts are still
-checked here."""
+The generic `add`, `mul` and `matmul` nodes and the filter chain's
+`soft_shrink` and `scale_complex` nodes live in `tests/oracles.py` (only
+the unfused oracle chains use them); their contracts are still checked
+here."""
 
 import numpy as np
 import pytest
 
 from respden.errors import NumericError, ShapeError
-from respden.fourier import scale_complex
 from respden.gradcheck import OP_TOL, check_loss_gradients
-from respden.tensor import LN_EPS, Tensor, layer_norm, no_grad, soft_shrink
+from respden.tensor import LN_EPS, Tensor, layer_norm, no_grad
 
-from oracles import add, layer_norm_direct, matmul, mul, naive_matmul
+from oracles import (
+    add, layer_norm_direct, matmul, mul, naive_matmul, scale_complex, soft_shrink,
+)
 
 
 class TestMatmul:
@@ -126,6 +128,18 @@ class TestSoftShrink:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             soft_shrink(Tensor([1.0]), -0.1)
+
+    def test_gradient_vs_finite_differences(self):
+        # the probe of the soft_shrink row that `respden gradcheck` ran at seed 0:
+        # its generator had drawn 1902 values for the rows before it. Entries
+        # within 0.05 of the |x| = alpha kink move away (the step is 1e-3).
+        rng = np.random.default_rng(0)
+        rng.standard_normal(1902)
+        raw = rng.standard_normal((3, 4))
+        x = Tensor(np.where(np.abs(np.abs(raw) - 0.5) < 0.05, raw + 0.2, raw), requires_grad=True)
+        w = np.random.default_rng(12).standard_normal((3, 4))
+        rows = check_loss_gradients(lambda: soft_shrink(x, 0.5), {"x": x}, cotangent=w)
+        assert rows[0].max_rel_err < OP_TOL
 
 
 

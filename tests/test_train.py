@@ -13,7 +13,7 @@ from respden.config import RunConfig, validate_config
 
 train_mod = sys.modules["respden.train"]
 from respden.datasets import SynthConfig, build_synth
-from respden.errors import ShapeError, TrainingError, UndefinedMetricError
+from respden.errors import NumericError, ShapeError, TrainingError, UndefinedMetricError
 from respden.metrics import compute_metrics, confusion_matrix
 from respden.model import Model, seed_stream
 from respden.tensor import Tensor, no_grad
@@ -137,6 +137,25 @@ class TestTraining:
         for e in epochs:
             assert set(e) == {"type", "epoch", "train_loss", "se", "sp", "score"}
         assert len(result.history) == 2
+
+    def test_aborted_run_keeps_its_header_and_finished_epochs(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(epochs=3)
+        whole = tmp_path / "whole.jsonl"
+        result = train(cfg, log_path=str(whole))
+        assert whole.read_text() == "\n".join(result.log_lines) + "\n"
+        evaluate, calls = train_mod.evaluate_indices, []
+
+        def fails_in_epoch_2(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericError("injected")
+            return evaluate(*args)
+
+        monkeypatch.setattr(train_mod, "evaluate_indices", fails_in_epoch_2)
+        aborted = tmp_path / "aborted.jsonl"
+        with pytest.raises(TrainingError, match="epoch 2"):
+            train(cfg, log_path=str(aborted))
+        assert aborted.read_text() == "\n".join(result.log_lines[:3]) + "\n"
 
     def test_non_finite_loss_aborts_with_step_diagnostic(self, monkeypatch):
         real_model = Model
