@@ -8,6 +8,7 @@ Exit codes are a stable contract for scripting:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,7 +18,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import RunConfig, parse_config, validate_config
+from .config import FIELD_TYPES, RunConfig, parse_config, validate_config
 from .datasets import write_synth
 from .errors import (
     CheckpointError,
@@ -38,32 +39,22 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
+#: help text of the flags whose name does not say what they take
+_FLAG_HELP = {"dataset": "'synth' or a directory of WAV + annotation files",
+              "split_file": "override the dataset split file",
+              "out_dir": "run output directory"}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """`--config`, then one flag per `RunConfig` field: `--mask-hidden` sets
+    `mask_hidden`, and a bool field's flag sets it to True."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--dataset", help="'synth' or a directory of WAV + annotation files")
-    p.add_argument("--split-file", dest="split_file", help="override the dataset split file")
-    p.add_argument("--out-dir", dest="out_dir", help="run output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--mask-hidden", dest="mask_hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float)
-    for flag in ("no-aff", "no-ddl", "no-bias-loss"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                       action="store_const", const=True)
-    p.add_argument("--train-per-class", dest="train_per_class", type=int)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--train-subjects", dest="train_subjects", type=int)
-    p.add_argument("--test-subjects", dest="test_subjects", type=int)
-    p.add_argument("--snr-lo", dest="snr_lo", type=float)
-    p.add_argument("--snr-hi", dest="snr_hi", type=float)
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=f.name, type=FIELD_TYPES[f.type], help=_FLAG_HELP.get(f.name))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

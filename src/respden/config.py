@@ -56,6 +56,8 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+#: the Python type of each field type; a float field also takes an int value
+FIELD_TYPES = {"bool": bool, "int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, value: str):
@@ -68,16 +70,9 @@ def _coerce(key: str, value: str):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if ftype == "int":
-            return int(value)
-        if ftype == "float":
-            return float(value)
-        return value
+        return FIELD_TYPES[ftype](value)
     except ValueError as exc:
         raise UsageError(f"config key '{key}': {exc}") from exc
-
-
-_VALUE_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def check_value_types(values: dict) -> dict:
@@ -87,8 +82,9 @@ def check_value_types(values: dict) -> dict:
         if key not in _FIELDS:
             continue
         ftype = _FIELDS[key].type
+        accepted = (int, float) if ftype == "float" else FIELD_TYPES[ftype]
         # bool is an int subclass: only a bool field takes one
-        if isinstance(value, bool) != (ftype == "bool") or not isinstance(value, _VALUE_TYPES[ftype]):
+        if isinstance(value, bool) != (ftype == "bool") or not isinstance(value, accepted):
             raise UsageError(f"config key '{key}' must be of type {ftype}, got {value!r}")
     return values
 

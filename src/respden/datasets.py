@@ -252,21 +252,30 @@ def synth_clip(rng: np.random.Generator, label: Label, snr_db: tuple[float, floa
     return mix / np.abs(mix).max() * 0.9
 
 
+#: synthetic subject ids run in alternating blocks of this many: training
+#: 101-500, test 501-900, training 901-1300, ..., so no id is in both splits
+_SUBJECT_BLOCK = 400
+
+
+def _synth_subject(split: str, k: int) -> str:
+    """Id of a synthetic split's k-th subject."""
+    block, offset = divmod(k, _SUBJECT_BLOCK)
+    return str((101 if split == "train" else 501) + 2 * _SUBJECT_BLOCK * block + offset)
+
+
 def build_synth(cfg: SynthConfig, seed: int) -> tuple[DatasetManifest, list[AudioClip]]:
     """Deterministic in-memory synthetic dataset, subject-disjoint by split."""
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(b"synth")))
     manifest = DatasetManifest()
     clips: list[AudioClip] = []
-    plan = (
-        ("train", cfg.train_per_class, [f"{101 + i}" for i in range(cfg.train_subjects)]),
-        ("test", cfg.test_per_class, [f"{501 + i}" for i in range(cfg.test_subjects)]),
-    )
-    for split, per_class, subjects in plan:
+    plan = (("train", cfg.train_per_class, cfg.train_subjects),
+            ("test", cfg.test_per_class, cfg.test_subjects))
+    for split, per_class, n_subjects in plan:
         counter = 0
         for label in Label:
             for _ in range(per_class):
-                subject = subjects[counter % len(subjects)]
+                subject = _synth_subject(split, counter % n_subjects)
                 samples = synth_clip(rng, label, cfg.snr_db)
                 clips.append(AudioClip(samples, TARGET_RATE, label, subject))
                 manifest.entries.append(

@@ -9,7 +9,9 @@ The conjugate partner of bin (u, v) holds (re, -im), so averaging the MLP
 over the two, m = shrink(0.5 * (MLP(re, im) + MLP(re, -im))), makes the
 mask even and the inverse real by construction.
 
-`filter_forward` is one tape node with a hand-derived backward. The MLP
+`filter_forward` is one tape node with a hand-derived backward onto its four
+parameters. The filter masks data, so x never requires grad and the node
+has no pullback onto it; a differentiable x is refused. The MLP
 walks its (2n, 3) feature table, rows (re, +-im, 1), in blocks of
 `MASK_BLOCK` through one preallocated hidden buffer, the 1 column carrying
 the first bias; the backward recomputes each block's hidden layer instead
@@ -110,23 +112,20 @@ def ifft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.irfft2(spec, s=shape)
 
 
-def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
-    """Cotangents (d_w1b, d_w2, d_feats or None) of `mask_net` for cotangent `d_raw`.
+def _mlp_pullback(feats, w1b, w2, d_raw):
+    """Cotangents (d_w1b, d_w2) of `mask_net` for cotangent `d_raw`.
 
     Recomputes each block's hidden layer with the forward's block bounds,
     so it sees bit for bit the forward's activations (already checked
     finite there). With live = [h > 0] (relu's subgradient, 0 at the
-    kink), the hidden cotangent is g * w2 * live; its products are taken
-    without forming it: d_w1b = w2 * (g feats)^T live and
-    d_feats = g * live (w2 * w1)^T. `d_feats` holds the (re, im) columns only.
+    kink), the hidden cotangent is g * w2 * live; d_w1b = w2 * (g feats)^T live
+    is taken without forming it.
     """
     hidden = w1b.shape[1]
     buf = np.empty((MASK_BLOCK, hidden))
     on_buf = np.empty((MASK_BLOCK, hidden))
     d_w1b = np.zeros_like(w1b)
     d_w2 = np.zeros(hidden)
-    d_feats = np.empty((len(feats), 2)) if want_feats else None
-    w_in = (w1b[:2] * w2[:, 0]).T
     for blk in _blocks(len(feats), len(feats)):
         h = _hidden(feats[blk], w1b, buf, check=False)
         g = d_raw[blk]
@@ -134,9 +133,7 @@ def _mlp_pullback(feats, w1b, w2, d_raw, want_feats: bool):
         on = on_buf[:len(g)]
         np.copyto(on, h > 0.0)
         d_w1b += (feats[blk] * g[:, None]).T @ on
-        if d_feats is not None:
-            d_feats[blk] = (on @ w_in) * g[:, None]
-    return d_w1b * w2[:, 0], d_w2.reshape(-1, 1), d_feats
+    return d_w1b * w2[:, 0], d_w2.reshape(-1, 1)
 
 
 def _column_weights(f: int) -> np.ndarray:
@@ -149,18 +146,20 @@ def _column_weights(f: int) -> np.ndarray:
 
 
 def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
-    """irfft2(shrink(even mask) * rfft2(x)) as one tape node.
+    """irfft2(shrink(even mask) * rfft2(x)) as one tape node over the mask parameters.
 
     The backward pulls the output cotangent back onto the half plane as
     rfft2(gy) * c_v / (T F), with c_v = 1 on the self-conjugate columns
     v = 0 and v = F/2 and 2 elsewhere, then through the mask product, the
-    shrink and the MLP. The pullback onto x, needed only when x requires
-    grad, is the adjoint of rfft2: a zero-padded full inverse DFT times T F.
+    shrink and the MLP onto w1, b1, w2 and b2. x is data: one that
+    requires grad raises `ValueError`, since it would get no gradient.
 
     Under no_grad, x may be a (B, T, F) stack: the transforms run over the
     last two axes and one MLP call over every clip's rows.
     """
     _check_clips(x, "filter_forward")
+    if x.requires_grad:
+        raise ValueError("filter_forward has no pullback onto its input: x must not require grad")
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     *lead, t, f = x.shape
     spec = fft2(x.data)
@@ -183,19 +182,8 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
         d_spec = np.fft.rfft2(gy)
         d_spec *= _column_weights(f) / (t * f)
         d_g = (d_spec.real * spec.real + d_spec.imag * spec.imag) * live
-        d_raw = np.tile(0.5 * d_g.reshape(-1), 2)
-        d_w1b, d_w2, d_feats = _mlp_pullback(feats, w1b, w2, d_raw, x.requires_grad)
-        d_b2 = np.full(1, d_g.sum())
-        d_x = None
-        if d_feats is not None:
-            d_half = m * d_spec
-            # a partner row's features are (re, -im): its im cotangent flips sign
-            d_half.real += (d_feats[:n, 0] + d_feats[n:, 0]).reshape(half)
-            d_half.imag += (d_feats[:n, 1] - d_feats[n:, 1]).reshape(half)
-            padded = np.zeros((t, f), dtype=complex)
-            padded[:, :half[1]] = d_half
-            d_x = np.fft.ifft2(padded).real * (t * f)
-        return d_x, d_w1b[:2], d_w1b[2], d_w2, d_b2
+        d_w1b, d_w2 = _mlp_pullback(feats, w1b, w2, np.tile(0.5 * d_g.reshape(-1), 2))
+        return d_w1b[:2], d_w1b[2], d_w2, np.full(1, d_g.sum())
 
-    return Tensor._from_op(out, (x, params.w1, params.b1, params.w2, params.b2), backward,
+    return Tensor._from_op(out, (params.w1, params.b1, params.w2, params.b2), backward,
                            "filter_forward")

@@ -193,16 +193,16 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     fb1 = Tensor(np.full(6, 0.5), requires_grad=True)
     fw2 = Tensor(rng.standard_normal((6, 1)) * 0.05, requires_grad=True)
     fb2 = Tensor(np.ones(1), requires_grad=True)
-    x_af = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
     fp = FilterParams(fw1, fb1, fw2, fb2, alpha=0.02)
-    check("freq_filter", lambda: filter_forward(x_af, fp),
-          {"x": x_af, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, _weights((6, 8), 16),
+    filter_params = {"w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}
+    # the filter's input is data, so only its four parameters are probed
+    x_af = Tensor(rng.standard_normal((6, 8)))
+    check("freq_filter", lambda: filter_forward(x_af, fp), filter_params, _weights((6, 8), 16),
           tol=MODEL_TOL)
     # odd F: the half plane has no self-conjugate v = F/2 column
-    x_odd = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
-    check("freq_filter.odd_f", lambda: filter_forward(x_odd, fp),
-          {"x": x_odd, "w1": fw1, "b1": fb1, "w2": fw2, "b2": fb2}, _weights((7, 5), 17),
-          tol=MODEL_TOL)
+    x_odd = Tensor(rng.standard_normal((7, 5)))
+    check("freq_filter.odd_f", lambda: filter_forward(x_odd, fp), filter_params,
+          _weights((7, 5), 17), tol=MODEL_TOL)
 
     # both heads and the hybrid loss; beta = 0 leaves the plain cross-entropy
     p_feat = Tensor(rng.standard_normal((5, d_model)), requires_grad=True)

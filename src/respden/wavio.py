@@ -12,6 +12,8 @@ Accepted encodings, all little-endian RIFF:
 * PCM in 1-byte (unsigned, offset 128) or 2-, 3- or 4-byte (signed)
   containers, scaled by 2**-(8 * container - 1), so it lies in [-1, 1);
 * IEEE float, 32- or 64-bit, clipped to [-1, 1] after channel averaging;
+  a NaN or infinite sample is a `DatasetError` that names the file, raised
+  when the frames that hold it are read;
 * `WAVE_FORMAT_EXTENSIBLE` with a PCM or float subformat.
 
 Channels are averaged down to mono float64. Every other encoding, RIFX
@@ -94,6 +96,9 @@ class WavHeader:
             data = np.frombuffer(raw, dtype=self.dtype)
         if data.dtype.kind == "f":
             samples = data.astype(np.float64)
+            if not np.isfinite(samples).all():
+                raise DatasetError(f"WAV file {self.path} holds non-finite float samples "
+                                   f"(NaN or inf)")
         else:
             # one pass; the scale is a power of two, so this equals dividing
             samples = np.multiply(data, 2.0 ** (1 - 8 * data.dtype.itemsize), dtype=np.float64)

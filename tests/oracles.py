@@ -10,9 +10,10 @@ be checked against them. Two use the `add`, `mul`, `matmul` and
 4-node patch embedding that the fused `patch_embed` replaced. The third is
 the six-node full-plane filter chain (`fft2`, `mask_net`, `symmetrize`,
 `soft_shrink`, `scale_complex`, `ifft2`, composed by `reference_filter`)
-that the one-node `freq_filter.filter_forward` replaced; it must agree to
-1e-10. Its `mask_net` node runs the library's blocked MLP and pullback, so
-the per-bin loop oracle checks that MLP through it. `mul` is also the
+that the one-node `freq_filter.filter_forward` replaced; its output and
+four parameter gradients must agree to 1e-10. Its `mask_net` node runs
+the library's blocked MLP and pullback, so the per-bin loop oracle checks
+that MLP through it. `mul` is also the
 oracle of the chain's `scale_complex`. The resampling oracle is scipy's
 `resample_poly`, whose per-sample `upfirdn` loop the library's polyphase
 GEMMs replaced.
@@ -211,7 +212,9 @@ def mask_net(spectrum: Tensor, params) -> Tensor:
     """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
 
     relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
-    the full plane, through the library's blocked MLP and its pullback.
+    the full plane, through the library's blocked MLP and its pullback. Like
+    the filter, it differentiates only its four parameters: the spectrum is
+    data and gets no cotangent.
     """
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     _, t, f = spectrum.shape
@@ -220,13 +223,10 @@ def mask_net(spectrum: Tensor, params) -> Tensor:
 
     def backward(g):
         g = g.reshape(-1)
-        d_w1b, d_w2, d_feats = freq_filter._mlp_pullback(feats, w1b, w2, g,
-                                                         spectrum.requires_grad)
-        # a data spectrum needs no pullback; the tape skips a None
-        d_spectrum = None if d_feats is None else d_feats.T.reshape(2, t, f)
-        return d_spectrum, d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
+        d_w1b, d_w2 = freq_filter._mlp_pullback(feats, w1b, w2, g)
+        return d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
 
-    return Tensor._from_op(out.reshape(t, f), (spectrum, params.w1, params.b1, params.w2, params.b2),
+    return Tensor._from_op(out.reshape(t, f), (params.w1, params.b1, params.w2, params.b2),
                            backward, "mask_net")
 
 
@@ -302,12 +302,10 @@ def pointwise_mask_mlp(spec: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
 def pointwise_mask_mlp_grads(spec: np.ndarray, w1, b1, w2, b2, g: np.ndarray):
     """Pullbacks of sum(g * pointwise_mask_mlp(spec, ...)), bin by bin.
 
-    Returns (d_re, d_im, d_w1, d_b1, d_w2, d_b2) with w2 of shape (hidden,)
-    and b2 a scalar; the relu's subgradient at 0 is 0.
+    Returns (d_w1, d_b1, d_w2, d_b2) with w2 of shape (hidden,) and b2 a
+    scalar; the relu's subgradient at 0 is 0.
     """
     t_n, f_n = spec.shape
-    d_re = np.zeros((t_n, f_n))
-    d_im = np.zeros((t_n, f_n))
     d_w1 = np.zeros_like(w1)
     d_b1 = np.zeros_like(b1)
     d_w2 = np.zeros_like(w2)
@@ -321,9 +319,7 @@ def pointwise_mask_mlp_grads(spec: np.ndarray, w1, b1, w2, b2, g: np.ndarray):
             d_pre = g[u, v] * w2 * (pre > 0.0)
             d_b1 += d_pre
             d_w1 += np.outer(feats, d_pre)
-            d_re[u, v] = d_pre @ w1[0]
-            d_im[u, v] = d_pre @ w1[1]
-    return d_re, d_im, d_w1, d_b1, d_w2, d_b2
+    return d_w1, d_b1, d_w2, d_b2
 
 
 def soft_shrink_scalar(x: float, alpha: float) -> float:

@@ -491,7 +491,7 @@ class TestTapeBudget:
         rng = np.random.default_rng(62)
         params = FilterParams(*(Tensor(rng.standard_normal(shape), requires_grad=True)
                                 for shape in ((2, 4), (4,), (4, 1), (1,))))
-        filter_forward(Tensor(rng.standard_normal((6, 8)), requires_grad=True), params)
+        filter_forward(Tensor(rng.standard_normal((6, 8))), params)
         assert node_counts == {"filter_forward": 1}
 
     # at the default config: filter 1, patch embedding 1, 2 per block (4

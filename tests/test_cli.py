@@ -238,6 +238,23 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:") and wav.name in err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_wav_in_dataset_is_3(self, bad, tmp_path, capsys):
+        from scipy.io import wavfile
+
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        wav = sorted(ds.glob("*_test.wav"))[0]
+        rate, pcm = wavfile.read(str(wav))
+        samples = (pcm / 32768.0).astype(np.float32)
+        samples[1234] = bad
+        wavfile.write(str(wav), rate, samples)
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 3
+        assert err.startswith("error:") and wav.name in err and "non-finite" in err
+
     @pytest.mark.parametrize("magic,named", [(b"RIFX", "big-endian RIFX"), (b"RF64", "RF64")])
     def test_unsupported_wav_encoding_is_3(self, magic, named, tmp_path, capsys):
         ds = tmp_path / "ds"

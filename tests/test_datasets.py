@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
+import respden.datasets as datasets_module
 from respden.audio import Label, TARGET_RATE, TARGET_SAMPLES
 from respden.datasets import (
     DatasetManifest,
@@ -213,6 +214,16 @@ class TestSynthetic:
         manifest.validate_patient_disjoint()
         assert len(manifest.split_indices("train")) == 16
         assert len(manifest.split_indices("test")) == 12
+
+    def test_subject_ids_stay_disjoint_past_400_training_subjects(self, monkeypatch):
+        # the 401st training subject must not take 501, the first test subject's id
+        monkeypatch.setattr(datasets_module, "synth_clip", lambda rng, label, snr_db: np.zeros(1))
+        manifest, clips = build_synth(SynthConfig(train_per_class=101, train_subjects=401), seed=0)
+        assert len(clips) == 4 * 101 + 4 * 10
+        train = [e.subject_id for e in manifest.entries if e.split == "train"]
+        test = {e.subject_id for e in manifest.entries if e.split == "test"}
+        assert train[:400] == [str(101 + i) for i in range(400)] and train[400] == "901"
+        assert test == {"501", "502", "503", "504"}
 
     def test_wheeze_tone_peaks_at_drawn_frequency(self):
         rng = np.random.default_rng(42)
@@ -538,6 +549,19 @@ class TestLazyCycles:
         assert clips[3].samples.size == 11025 - round(0.25 * 11025)  # the other file still reads
         with pytest.raises(DatasetError, match="101_1b1_Al.wav changed"):
             prepare_data(RunConfig(), manifest, clips)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_sample_raises_when_its_cycle_is_read(self, bad, tmp_path):
+        values = np.zeros((8000, 1), dtype="<f4")
+        values[6000] = bad
+        (tmp_path / "103_1b1_Al.wav").write_bytes(
+            pack_wav(values.tobytes(), tag=3, channels=1, rate=8000, container=4))
+        (tmp_path / "103_1b1_Al.txt").write_text("0.0\t0.5\t0\t0\n0.5\t1.0\t0\t0\n")
+        (tmp_path / "split.txt").write_text("103_1b1_Al\ttrain\n")
+        _, clips = load_dataset(str(tmp_path), str(tmp_path / "split.txt"))
+        assert np.array_equal(clips[0].samples, np.zeros(4000))  # the first cycle is finite
+        with pytest.raises(DatasetError, match="103_1b1_Al.wav holds non-finite"):
+            clips[1]
 
     def test_removed_file_raises_when_its_cycle_is_read(self, tmp_path):
         _, clips = load_dataset(str(tmp_path), mixed_corpus(tmp_path))

@@ -68,7 +68,7 @@ class TestFusedMaskNet:
 
     def spectrum_and_params(self):
         rng = np.random.default_rng(20)
-        spec = Tensor(rng.standard_normal((2, *self.SHAPE)), requires_grad=True)
+        spec = Tensor(rng.standard_normal((2, *self.SHAPE)))
         hidden = 7
         params = FilterParams(
             Tensor(rng.standard_normal((2, hidden)), requires_grad=True),
@@ -78,7 +78,7 @@ class TestFusedMaskNet:
         )
         return spec, params
 
-    def test_forward_and_six_gradients_match_loop_oracle(self):
+    def test_forward_and_four_gradients_match_loop_oracle(self):
         # more than one block, the last one ragged
         n = self.SHAPE[0] * self.SHAPE[1]
         assert n > MASK_BLOCK and n % MASK_BLOCK != 0
@@ -98,25 +98,9 @@ class TestFusedMaskNet:
         want = pointwise_mask_mlp(complex_spec, w1, b1, w2.reshape(-1), b2[0])
         assert normwise_rel_err(out.data, want) <= 1e-12
         want_grads = pointwise_mask_mlp_grads(complex_spec, w1, b1, w2.reshape(-1), b2[0], g)
-        got_grads = (spec.grad[0], spec.grad[1], params.w1.grad, params.b1.grad,
-                     params.w2.grad.reshape(-1), params.b2.grad[0])
-        for name, got, want in zip(("re", "im", "w1", "b1", "w2", "b2"), got_grads, want_grads):
+        got_grads = (params.w1.grad, params.b1.grad, params.w2.grad.reshape(-1), params.b2.grad[0])
+        for name, got, want in zip(("w1", "b1", "w2", "b2"), got_grads, want_grads):
             assert normwise_rel_err(np.asarray(got), np.asarray(want)) <= 1e-12, name
-
-    def test_data_spectrum_gets_no_pullback(self):
-        # the model's spectrum never requires grad; its pullback is skipped
-        # and the parameter gradients are those of a spectrum that does
-        g = np.random.default_rng(22).standard_normal(self.SHAPE)
-        spec, params = self.spectrum_and_params()
-        mask_net(spec, params).backward(g)
-        want = [p.grad.copy() for p in (params.w1, params.b1, params.w2, params.b2)]
-        for p in (params.w1, params.b1, params.w2, params.b2):
-            p.zero_grad()
-        out = mask_net(Tensor(spec.data), params)
-        assert out._backward_fn(g)[0] is None
-        out.backward(g)
-        for p, w in zip((params.w1, params.b1, params.w2, params.b2), want):
-            np.testing.assert_array_equal(p.grad, w)
 
     @pytest.mark.parametrize("weight", ["w1", "w2"])
     def test_overflow_raises_numeric_error(self, weight):
@@ -226,14 +210,21 @@ class TestFilterForward:
     def test_gradients_through_full_chain(self):
         rng = np.random.default_rng(12)
         params = random_params(rng, hidden=4, scale=0.2, requires_grad=True)
-        x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        x = Tensor(rng.standard_normal((5, 6)))
         weights = rng.standard_normal((5, 6))
         rows = check_loss_gradients(
             lambda: filter_forward(x, params),
-            {"x": x, "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2},
+            {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2},
             cotangent=weights,
         )
         assert max(r.max_rel_err for r in rows) < 1e-3
+
+    def test_differentiable_input_rejected(self):
+        # the node has no pullback onto x: a caller would get a silent zero gradient
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        with pytest.raises(ValueError, match="must not require grad"):
+            filter_forward(x, random_params(rng, requires_grad=True))
 
     def test_negative_alpha_rejected(self):
         rng = np.random.default_rng(13)
@@ -242,16 +233,15 @@ class TestFilterForward:
 
 
 def outputs_and_gradients(fn, x, params, weights):
-    """fn's output and the gradients of sum(weights * output) w.r.t. x, w1, b1, w2, b2."""
-    xt = Tensor(x, requires_grad=True)
+    """fn's output and the gradients of sum(weights * output) w.r.t. w1, b1, w2, b2."""
     leaves = [Tensor(p.data.copy(), requires_grad=True)
               for p in (params.w1, params.b1, params.w2, params.b2)]
-    out = fn(xt, FilterParams(*leaves, alpha=params.alpha))
+    out = fn(Tensor(x), FilterParams(*leaves, alpha=params.alpha))
     out.backward(weights)
-    return [out.data, xt.grad] + [p.grad for p in leaves]
+    return [out.data] + [p.grad for p in leaves]
 
 
-NAMES = ("out", "x", "w1", "b1", "w2", "b2")
+NAMES = ("out", "w1", "b1", "w2", "b2")
 
 
 class TestFusedMatchesReference:
@@ -282,6 +272,7 @@ class TestFusedMatchesReference:
 
     @pytest.mark.parametrize("shape", [(249, 64), (249, 63), (6, 8), (9, 5), (5, 6), (7, 7)])
     def test_output_and_five_gradients(self, shape):
+        # compares the output and the four parameter gradients (NAMES)
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         self.assert_match(x, self.generic_params(rng, x), rng.standard_normal(shape))
@@ -307,7 +298,7 @@ class TestFusedMatchesReference:
 
     def test_dead_zone_mask(self):
         # the raw mask 0.01 lies inside |m| <= alpha everywhere: the output
-        # is zero and neither x nor any parameter gets gradient
+        # is zero and no parameter gets gradient
         rng = np.random.default_rng(30)
         x, weights = rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
         params = rigged_params(bias_out=0.01, alpha=0.02)
@@ -316,7 +307,7 @@ class TestFusedMatchesReference:
         np.testing.assert_array_equal(got[0], 0.0)
         for name, g, w in zip(NAMES[1:], got[1:], want[1:]):
             np.testing.assert_array_equal(g, w, err_msg=name)
-        np.testing.assert_array_equal(got[1], 0.0)
+            np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
     @pytest.mark.parametrize("shape", [(249, 64), (7, 7)])
     def test_identity_mask(self, shape):
@@ -326,7 +317,6 @@ class TestFusedMatchesReference:
         params = rigged_params(bias_out=1.02, alpha=0.02)
         got = outputs_and_gradients(filter_forward, x, params, weights)
         assert np.abs(got[0] - x).max() <= 1e-12
-        assert np.abs(got[1] - weights).max() <= 1e-12
         self.assert_match(x, params, weights)
 
     def test_hidden_overflow_raises_numeric_error(self):
