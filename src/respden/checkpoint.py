@@ -35,8 +35,7 @@ import numpy as np
 
 from .config import RunConfig, check_value_types, validate_config
 from .errors import (
-    BadMagicError, CheckpointError, NumericError, ShapeError, TruncatedError, UsageError,
-    VersionError,
+    BadMagicError, CheckpointError, NumericError, TruncatedError, UsageError, VersionError,
 )
 from .model import Model, param_shapes
 from .optim import AdamState
@@ -182,18 +181,16 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
 
 
 def _stored_params(shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint) -> dict[str, Tensor]:
-    """Exactly the checkpoint tensors named in `shapes`, all finite, as trainable Tensors."""
+    """Exactly the checkpoint tensors named in `shapes`, all finite, as trainable Tensors.
+
+    Their shapes are checked by `Model`, which names a misshaped one in a `ShapeError`.
+    """
     params: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    for name in shapes:
         if name not in ckpt.params:
             raise CheckpointError(f"checkpoint is missing parameter '{name}'")
-        stored = ckpt.params[name]
-        if stored.shape != shape:
-            raise ShapeError(
-                f"checkpoint tensor '{name}' has shape {stored.shape}, model expects {shape}"
-            )
         try:  # the Tensor's own finiteness scan is the only one
-            params[name] = Tensor(stored, requires_grad=True)
+            params[name] = Tensor(ckpt.params[name], requires_grad=True)
         except NumericError as exc:
             raise CheckpointError(f"checkpoint tensor '{name}' holds non-finite values") from exc
     extra = sorted(set(ckpt.params) - set(shapes))

@@ -109,30 +109,37 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
-    def need(cond: bool, msg: str):
-        if not cond:
-            raise UsageError(msg)
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise UsageError(msg)
 
-    need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
-    need(0 < cfg.lr < math.inf, f"lr must be finite and > 0, got {cfg.lr}")
-    need(0 <= cfg.weight_decay < math.inf,
-         f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
-    need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")
-    need(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
-    need(0.0 <= cfg.beta <= 1.0, f"beta must be in [0, 1], got {cfg.beta}")
-    need(0.0 <= cfg.epsilon < 1.0, f"epsilon must be in [0, 1), got {cfg.epsilon}")
-    need(0.0 <= cfg.alpha < math.inf, f"alpha must be finite and >= 0, got {cfg.alpha}")
-    need(cfg.dim >= 1 and cfg.heads >= 1 and cfg.layers >= 0, "model dimensions must be positive")
-    need(cfg.mask_hidden >= 1, f"mask_hidden must be >= 1, got {cfg.mask_hidden}")
-    need(cfg.dim % (2 * cfg.heads) == 0,
-         f"dim={cfg.dim} must be divisible by 2*heads={2 * cfg.heads} for the query/key split")
-    need(cfg.train_per_class >= 1, f"train_per_class must be >= 1, got {cfg.train_per_class}")
-    need(cfg.test_per_class >= 0, f"test_per_class must be >= 0, got {cfg.test_per_class}")
-    need(cfg.train_subjects >= 1 and cfg.test_subjects >= 1, "subject counts must be >= 1")
-    need(cfg.snr_lo <= cfg.snr_hi, f"snr_lo={cfg.snr_lo} exceeds snr_hi={cfg.snr_hi}")
-    need(math.isfinite(cfg.snr_hi - cfg.snr_lo),
-         f"snr range {cfg.snr_lo}..{cfg.snr_hi} must have a finite width")
+
+def check_synth(train_per_class: int, test_per_class: int, train_subjects: int,
+                test_subjects: int, snr_lo: float, snr_hi: float) -> None:
+    """`UsageError` unless the values describe a synthetic corpus `build_synth` can draw."""
+    _need(train_per_class >= 1, f"train_per_class must be >= 1, got {train_per_class}")
+    _need(test_per_class >= 0, f"test_per_class must be >= 0, got {test_per_class}")
+    _need(train_subjects >= 1 and test_subjects >= 1, "subject counts must be >= 1")
+    _need(snr_lo <= snr_hi, f"snr_lo={snr_lo} exceeds snr_hi={snr_hi}")
+    _need(math.isfinite(snr_hi - snr_lo), f"snr range {snr_lo}..{snr_hi} must have a finite width")
+
+
+def validate_config(cfg: RunConfig) -> RunConfig:
+    _need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
+    _need(0 < cfg.lr < math.inf, f"lr must be finite and > 0, got {cfg.lr}")
+    _need(0 <= cfg.weight_decay < math.inf,
+          f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
+    _need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")
+    _need(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
+    _need(0.0 <= cfg.beta <= 1.0, f"beta must be in [0, 1], got {cfg.beta}")
+    _need(0.0 <= cfg.epsilon < 1.0, f"epsilon must be in [0, 1), got {cfg.epsilon}")
+    _need(0.0 <= cfg.alpha < math.inf, f"alpha must be finite and >= 0, got {cfg.alpha}")
+    _need(cfg.dim >= 1 and cfg.heads >= 1 and cfg.layers >= 0, "model dimensions must be positive")
+    _need(cfg.mask_hidden >= 1, f"mask_hidden must be >= 1, got {cfg.mask_hidden}")
+    _need(cfg.dim % (2 * cfg.heads) == 0,
+          f"dim={cfg.dim} must be divisible by 2*heads={2 * cfg.heads} for the query/key split")
+    check_synth(cfg.train_per_class, cfg.test_per_class, cfg.train_subjects, cfg.test_subjects,
+                cfg.snr_lo, cfg.snr_hi)
     return cfg
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS, resampled_length
+from .config import RunConfig, check_synth
 from .errors import DatasetError, MissingAudioError
 # read_wav is unused here but stays importable: perfbench/tracer.py wraps datasets.read_wav
 from .wavio import MAX_SAMPLE_RATE, WavHeader, read_header, read_wav, write_wav
@@ -174,23 +175,17 @@ def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, Cycle
 # -- synthetic data ----------------------------------------------------------------
 
 
+_RUN_DEFAULTS = RunConfig()
+
+
 @dataclass
 class SynthConfig:
-    train_per_class: int = 25
-    test_per_class: int = 10
-    train_subjects: int = 6
-    test_subjects: int = 4
-    snr_db: tuple[float, float] = (5.0, 20.0)
-
-    def validate(self) -> None:
-        if self.train_per_class <= 0:
-            raise ValueError("train_per_class must be positive")
-        if self.test_per_class < 0:
-            raise ValueError("test_per_class must be >= 0")
-        if self.train_subjects <= 0 or self.test_subjects <= 0:
-            raise ValueError("subject counts must be positive")
-        if self.snr_db[0] > self.snr_db[1]:
-            raise ValueError("snr_db range is inverted")
+    """The synthetic corpus's shape; the defaults are `RunConfig`'s synth fields."""
+    train_per_class: int = _RUN_DEFAULTS.train_per_class
+    test_per_class: int = _RUN_DEFAULTS.test_per_class
+    train_subjects: int = _RUN_DEFAULTS.train_subjects
+    test_subjects: int = _RUN_DEFAULTS.test_subjects
+    snr_db: tuple[float, float] = (_RUN_DEFAULTS.snr_lo, _RUN_DEFAULTS.snr_hi)
 
 
 def _band_noise(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
@@ -264,8 +259,10 @@ def _synth_subject(split: str, k: int) -> str:
 
 
 def build_synth(cfg: SynthConfig, seed: int) -> tuple[DatasetManifest, list[AudioClip]]:
-    """Deterministic in-memory synthetic dataset, subject-disjoint by split."""
-    cfg.validate()
+    """Deterministic in-memory synthetic dataset, subject-disjoint by split;
+    `UsageError` for a config that `check_synth` rejects."""
+    check_synth(cfg.train_per_class, cfg.test_per_class, cfg.train_subjects, cfg.test_subjects,
+                *cfg.snr_db)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(b"synth")))
     manifest = DatasetManifest()
     clips: list[AudioClip] = []

@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import BackboneParams, BlockParams, MhdaParams, N_TOKENS, PATCH_DIM, backbone_forward
+from .audio import DEFAULT_SPEC_CONFIG
 from .config import RunConfig
 from .errors import ShapeError
 from .freq_filter import FilterParams, filter_forward
@@ -32,7 +33,7 @@ MASK_B1 = 0.5
 #: zero-mean; numerically equivalent to standardizing patch pixels but
 #: expressed purely as an initialization
 PATCH_W_STD = 0.005
-LOG_FLOOR_VALUE = float(np.log(1e-6))
+LOG_FLOOR_VALUE = float(np.log(DEFAULT_SPEC_CONFIG.log_floor))
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:

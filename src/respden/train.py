@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,11 +48,7 @@ class EpochRecord:
     score: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"type": "epoch", "epoch": self.epoch, "train_loss": self.train_loss,
-             "se": self.se, "sp": self.sp, "score": self.score},
-            sort_keys=True,
-        )
+        return json.dumps({"type": "epoch", **asdict(self)}, sort_keys=True)
 
 
 @dataclass
@@ -61,7 +57,6 @@ class TrainResult:
     adam: AdamState
     history: list[EpochRecord]
     step_losses: list[float] = field(default_factory=list)
-    log_lines: list[str] = field(default_factory=list)
 
 
 def synth_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
@@ -168,17 +163,16 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
     a diagnostic naming the epoch and step, and non-finite values in an
     epoch's evaluation with one naming the epoch.
     """
-    header = header_line(cfg)
     if log_path:
         os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
-        _write_line(log_path, header, "w")
+        _write_line(log_path, header_line(cfg), "w")
     data = prepare_data(cfg, manifest, clips)
     if not data.train_idx:
         raise TrainingError("training split is empty")
     model = Model(cfg, rng=seed_stream(cfg.seed, "init"))
     shuffle_rng = seed_stream(cfg.seed, "shuffle")
     adam = AdamState()
-    result = TrainResult(model, adam, [], [], [header])
+    result = TrainResult(model, adam, [])
     metric_idx = data.test_idx if data.test_idx else data.train_idx
 
     steps_done = 0
@@ -206,7 +200,6 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
             raise TrainingError(f"non-finite values evaluating epoch {epoch}: {exc}") from exc
         record = EpochRecord(epoch, epoch_loss / max(seen, 1), report.se, report.sp, report.score)
         result.history.append(record)
-        result.log_lines.append(record.to_json())
         if log_path:
-            _write_line(log_path, result.log_lines[-1], "a")
+            _write_line(log_path, record.to_json(), "a")
     return result

@@ -174,6 +174,21 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:") and "pos" in err
 
+    @pytest.mark.parametrize("fault, message", [("misshaped", "'pos' has shape (3,)"),
+                                                ("missing", "missing parameter 'pos'")])
+    def test_misshaped_or_missing_checkpoint_tensor_is_3(self, fault, message, tmp_path, capsys):
+        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+        ckpt = checkpoint_from_model(Model(cfg), epoch=0)
+        if fault == "misshaped":
+            ckpt.params["pos"] = np.zeros(3)
+        else:
+            del ckpt.params["pos"]
+        path = tmp_path / f"{fault}.bin"
+        save_checkpoint(ckpt, str(path))
+        code, _, err = run(["eval", "--checkpoint", str(path)], capsys)
+        assert code == 3
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_checkpoint_is_3(self, kind, tmp_path, capsys):
         path = tmp_path / "bad.bin"

@@ -23,7 +23,7 @@ from respden.datasets import (
     write_synth,
 )
 from respden.config import RunConfig
-from respden.errors import DatasetError, MissingAudioError
+from respden.errors import DatasetError, MissingAudioError, UsageError
 from respden.train import prepare_data
 from respden.wavio import MAX_SAMPLE_RATE, WavHeader, read_header, read_wav, write_wav
 
@@ -241,6 +241,20 @@ class TestSynthetic:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             build_synth(SynthConfig(train_per_class=0), seed=0)
+
+    @pytest.mark.parametrize("snr_db, message", [
+        ((np.nan, 5.0), "snr_lo=nan exceeds"),
+        ((0.0, np.inf), "finite width"),
+        ((-np.inf, np.inf), "finite width"),
+    ])
+    def test_unusable_snr_range_is_a_usage_error_before_any_draw(self, snr_db, message,
+                                                                  monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a clip was drawn")
+
+        monkeypatch.setattr(datasets_module, "synth_clip", no_draws)
+        with pytest.raises(UsageError, match=message):
+            build_synth(SynthConfig(train_per_class=1, test_per_class=0, snr_db=snr_db), seed=0)
 
 
 class TestPersistenceRoundtrip:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from respden.gradcheck import (
+    OP_TOL,
     CheckRow,
     check_loss_gradients,
     composed_model_suite,
@@ -16,13 +17,21 @@ from respden.tensor import Tensor
 from oracles import mul
 
 
+def square(x: Tensor, rule_scale: float) -> Tensor:
+    """x**2 as a tape node whose pullback is `rule_scale` times the true one, 2 x g."""
+    return Tensor._from_op(x.data ** 2, (x,), lambda g: (rule_scale * 2.0 * x.data * g,),
+                           "square")
+
+
 class TestHarness:
     def test_detects_a_wrong_gradient_rule(self):
-        # a loss whose hand-computed 'gradient' we sabotage by scaling the data
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-
-        rows = check_loss_gradients(lambda: mul(x, x), {"x": x}, cotangent=np.ones(2))
-        assert rows[0].max_rel_err < 1e-8  # correct rule passes
+        right, wrong = (check_loss_gradients(lambda: square(x, scale), {"x": x},
+                                             cotangent=np.ones(2))[0]
+                        for scale in (1.0, 1.01))
+        assert right.tol == wrong.tol == OP_TOL
+        assert right.passed and right.max_rel_err < 1e-8
+        assert not wrong.passed  # off by 1 %, about a hundred times the tolerance
 
     def test_rel_err_guards_small_denominators(self):
         assert rel_err(0.0, 0.0) == 0.0

@@ -18,7 +18,7 @@ from respden.metrics import compute_metrics, confusion_matrix
 from respden.model import Model, seed_stream
 from respden.tensor import Tensor, no_grad
 from respden.train import (
-    EVAL_CHUNK, _batch_loss, evaluate_indices, evaluate_split, prepare_data, train,
+    EVAL_CHUNK, _batch_loss, evaluate_indices, evaluate_split, header_line, prepare_data, train,
 )
 
 from oracles import summed_batch_loss
@@ -32,6 +32,11 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return validate_config(RunConfig(**base))
+
+
+def log_text(cfg, records) -> str:
+    """The metrics log a run of `cfg` writes when it has finished `records`."""
+    return "".join(line + "\n" for line in [header_line(cfg)] + [r.to_json() for r in records])
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +118,7 @@ class TestTraining:
         r1 = train(cfg)
         r2 = train(cfg)
         assert r1.step_losses == r2.step_losses
-        assert r1.log_lines == r2.log_lines
+        assert log_text(cfg, r1.history) == log_text(cfg, r2.history)
         for name, p in r1.model.params.items():
             np.testing.assert_array_equal(p.data, r2.model.params[name].data)
 
@@ -142,7 +147,7 @@ class TestTraining:
         cfg = tiny_cfg(epochs=3)
         whole = tmp_path / "whole.jsonl"
         result = train(cfg, log_path=str(whole))
-        assert whole.read_text() == "\n".join(result.log_lines) + "\n"
+        assert whole.read_text() == log_text(cfg, result.history)
         evaluate, calls = train_mod.evaluate_indices, []
 
         def fails_in_epoch_2(*args):
@@ -155,7 +160,7 @@ class TestTraining:
         aborted = tmp_path / "aborted.jsonl"
         with pytest.raises(TrainingError, match="epoch 2"):
             train(cfg, log_path=str(aborted))
-        assert aborted.read_text() == "\n".join(result.log_lines[:3]) + "\n"
+        assert aborted.read_text() == log_text(cfg, result.history[:2])
 
     def test_non_finite_loss_aborts_with_step_diagnostic(self, monkeypatch):
         real_model = Model
