@@ -120,6 +120,8 @@ def check_synth(train_per_class: int, test_per_class: int, train_subjects: int,
     _need(train_per_class >= 1, f"train_per_class must be >= 1, got {train_per_class}")
     _need(test_per_class >= 0, f"test_per_class must be >= 0, got {test_per_class}")
     _need(train_subjects >= 1 and test_subjects >= 1, "subject counts must be >= 1")
+    for name, db in (("snr_lo", snr_lo), ("snr_hi", snr_hi)):
+        _need(not math.isnan(db), f"{name} is NaN; an SNR bound must be a number of dB")
     _need(snr_lo <= snr_hi, f"snr_lo={snr_lo} exceeds snr_hi={snr_hi}")
     _need(math.isfinite(snr_hi - snr_lo), f"snr range {snr_lo}..{snr_hi} must have a finite width")
 

@@ -11,14 +11,18 @@ mask even and the inverse real by construction.
 
 `filter_forward` is one tape node with a hand-derived backward onto its four
 parameters. The filter masks data, so x never requires grad and the node
-has no pullback onto it; a differentiable x is refused. The MLP
-walks its (2n, 3) feature table, rows (re, +-im, 1), in blocks of
-`MASK_BLOCK` through one preallocated hidden buffer, the 1 column carrying
-the first bias; the backward recomputes each block's hidden layer instead
-of storing it. A bound max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1|
-below 1e300 proves every hidden pre-activation finite; otherwise (NaN and
-inf included) each block's is checked for NaN/Inf. The mask and the output
-are checked too, so an overflow anywhere raises `NumericError`.
+has no pullback onto it; a differentiable x is refused. The MLP walks its
+(2n, 3) feature table, rows (re, +-im, 1), in blocks of `MASK_BLOCK`
+through one preallocated hidden buffer, the 1 column carrying the first
+bias. A node on the tape keeps the hidden layer's rectifier pattern, one
+byte per row and unit (2n x hidden: 526 KB at the default dims), and its
+backward takes the weight cotangents from it without recomputing the
+hidden layer. The node keeps no feature table: the backward rebuilds the
+rows times their cotangents from the spectrum. A bound
+max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| below 1e300 proves
+every hidden pre-activation finite; otherwise (NaN and inf included) each
+block's is checked for NaN/Inf. The mask and the output are checked too,
+so an overflow anywhere raises `NumericError`.
 
 Its forward runs six stages, `fft2`, `mask_net`, `symmetrize`, `soft_shrink`,
 `scale_complex` and `ifft2`, looked up by name at call time so that a tracer
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _check_clips, _check_finite
+from .tensor import Tensor, _check_clips, _check_finite, _taped
 
 #: rows per block of the mask MLP: a 1024 x hidden float64 block of the
 #: hidden layer (256 KiB at hidden width 32) fits in L2 cache
@@ -61,14 +65,6 @@ def fft2(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(x)
 
 
-def _hidden(feats: np.ndarray, w1b: np.ndarray, buf: np.ndarray, check: bool) -> np.ndarray:
-    """relu(feats @ [w1; b1]) for one block, computed and rectified inside `buf`."""
-    h = np.matmul(feats, w1b, out=buf[:len(feats)])
-    if check:
-        _check_finite(h, "mask_net hidden layer")
-    return np.maximum(h, 0.0, out=h)
-
-
 def _blocks(rows: int, clip_rows: int) -> list[slice]:
     """`MASK_BLOCK`-row blocks that restart at each clip's first row, so a stack
     of clips runs exactly the block shapes of each clip alone."""
@@ -76,16 +72,23 @@ def _blocks(rows: int, clip_rows: int) -> list[slice]:
             for c in range(0, rows, clip_rows) for lo in range(0, clip_rows, MASK_BLOCK)]
 
 
-def mask_net(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int) -> np.ndarray:
+def mask_net(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, clip_rows: int,
+             on: np.ndarray | None = None) -> np.ndarray:
     """Stage 2: relu(feats @ w1b) @ w2 per row, without the output bias, block by
-    block within each `clip_rows`-row clip."""
+    block within each `clip_rows`-row clip; a given bool `on` gets hidden > 0."""
     raw = np.empty(len(feats))
     buf = np.empty((MASK_BLOCK, w1b.shape[1]))
     # max |re|, |im|, |w1[0]|, |w1[1]|, |b1| as Python floats: their products overflow quietly
     peak = [float(np.abs(a).max()) for a in (feats[:, 0], feats[:, 1], *w1b)]
     check = not peak[0] * peak[2] + peak[1] * peak[3] + peak[4] < 1e300
     for blk in _blocks(len(feats), clip_rows):
-        np.matmul(_hidden(feats[blk], w1b, buf, check), w2[:, 0], out=raw[blk])
+        h = np.matmul(feats[blk], w1b, out=buf[:blk.stop - blk.start])
+        if check:
+            _check_finite(h, "mask_net hidden layer")
+        np.maximum(h, 0.0, out=h)
+        if on is not None:
+            np.greater(h, 0.0, out=on[blk])
+        np.matmul(h, w2[:, 0], out=raw[blk])
     return raw
 
 
@@ -112,28 +115,27 @@ def ifft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.irfft2(spec, s=shape)
 
 
-def _mlp_pullback(feats, w1b, w2, d_raw):
-    """Cotangents (d_w1b, d_w2) of `mask_net` for cotangent `d_raw`.
+def _pattern_pullback(fg: np.ndarray, w1b: np.ndarray, w2: np.ndarray, on: np.ndarray):
+    """Cotangents (d_w1b, d_w2) of `mask_net` from its rectifier pattern `on`.
 
-    Recomputes each block's hidden layer with the forward's block bounds,
-    so it sees bit for bit the forward's activations (already checked
-    finite there). With live = [h > 0] (relu's subgradient, 0 at the
-    kink), the hidden cotangent is g * w2 * live; d_w1b = w2 * (g feats)^T live
-    is taken without forming it.
+    fg holds each row's features times the row's cotangent g. The hidden
+    cotangent is g * w2 * on (relu's subgradient is 0 at the kink), so with
+    M = fg^T on, summed over the forward's blocks, d_w1b = M * w2^T. Since
+    h = on * (feats @ w1b), d_w2 = h^T g is the column sum of w1b * M.
     """
-    hidden = w1b.shape[1]
-    buf = np.empty((MASK_BLOCK, hidden))
-    on_buf = np.empty((MASK_BLOCK, hidden))
-    d_w1b = np.zeros_like(w1b)
-    d_w2 = np.zeros(hidden)
-    for blk in _blocks(len(feats), len(feats)):
-        h = _hidden(feats[blk], w1b, buf, check=False)
-        g = d_raw[blk]
-        d_w2 += g @ h
-        on = on_buf[:len(g)]
-        np.copyto(on, h > 0.0)
-        d_w1b += (feats[blk] * g[:, None]).T @ on
-    return d_w1b * w2[:, 0], d_w2.reshape(-1, 1)
+    m = sum(fg[blk].T @ on[blk] for blk in _blocks(len(fg), len(fg)))
+    return m * w2[:, 0], (w1b * m).sum(0).reshape(-1, 1)
+
+
+def _rows(re: np.ndarray, im: np.ndarray, one) -> np.ndarray:
+    """Each clip's rows (re, im, one), then its conjugate partners' (re, -im, one)."""
+    rows = np.empty((*re.shape[:-2], 2, *re.shape[-2:], 3))
+    pair = np.moveaxis(rows, -4, 0)
+    pair[..., 0] = re
+    pair[0, ..., 1] = im
+    np.negative(im, out=pair[1, ..., 1])
+    pair[..., 2] = one
+    return rows.reshape(-1, 3)
 
 
 def _column_weights(f: int) -> np.ndarray:
@@ -160,20 +162,15 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
     _check_clips(x, "filter_forward")
     if x.requires_grad:
         raise ValueError("filter_forward has no pullback onto its input: x must not require grad")
+    parents = (params.w1, params.b1, params.w2, params.b2)
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     *lead, t, f = x.shape
     spec = fft2(x.data)
-    half = spec.shape[-2:]
-    n = half[0] * half[1]
-    # per clip, rows (re, im, 1), then the partners' (re, -im, 1)
-    feats = np.empty((*lead, 2, *half, 3))
-    pair = np.moveaxis(feats, -4, 0)
-    pair[..., 0] = spec.real
-    pair[0, ..., 1] = spec.imag
-    np.negative(spec.imag, out=pair[1, ..., 1])
-    pair[..., 2] = 1.0
-    feats = feats.reshape(-1, 3)
-    raw = mask_net(feats, w1b, w2, 2 * n).reshape(*lead, 2, n)
+    n = spec.shape[-2] * spec.shape[-1]
+    feats = _rows(spec.real, spec.imag, 1.0)
+    # the backward's rectifier pattern, kept only for a node on the tape
+    on = np.empty((len(feats), w1b.shape[1]), bool) if _taped(parents) else None
+    raw = mask_net(feats, w1b, w2, 2 * n, on=on).reshape(*lead, 2, n)
     g = symmetrize(raw, params.b2.data).reshape(spec.shape)
     m, live = soft_shrink(g, params.alpha)
     out = ifft2(scale_complex(m, spec), (t, f))
@@ -182,8 +179,9 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
         d_spec = np.fft.rfft2(gy)
         d_spec *= _column_weights(f) / (t * f)
         d_g = (d_spec.real * spec.real + d_spec.imag * spec.imag) * live
-        d_w1b, d_w2 = _mlp_pullback(feats, w1b, w2, np.tile(0.5 * d_g.reshape(-1), 2))
+        hg = 0.5 * d_g  # each row's cotangent: a bin and its partner share d_g
+        fg = _rows(spec.real * hg, spec.imag * hg, hg)
+        d_w1b, d_w2 = _pattern_pullback(fg, w1b, w2, on)
         return d_w1b[:2], d_w1b[2], d_w2, np.full(1, d_g.sum())
 
-    return Tensor._from_op(out, (params.w1, params.b1, params.w2, params.b2), backward,
-                           "filter_forward")
+    return Tensor._from_op(out, parents, backward, "filter_forward")

@@ -55,6 +55,11 @@ def _check_clips(x: Tensor, what: str) -> None:
                          f"got shape {x.shape}")
 
 
+def _taped(parents) -> bool:
+    """Whether an op on `parents` goes on the tape: grad mode is on and one requires grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     """n-dimensional float64 array participating in the differentiation graph."""
 
@@ -80,14 +85,9 @@ class Tensor:
         out.data = data
         out.grad = None
         out._leaf = False
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward_fn = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward_fn = None
+        out.requires_grad = _taped(parents)
+        out._parents = parents if out.requires_grad else ()
+        out._backward_fn = backward_fn if out.requires_grad else None
         return out
 
     # -- basic protocol ------------------------------------------------------

@@ -108,6 +108,14 @@ class TestExitCodes:
         assert code == 2
         assert "beta" in err
 
+    def test_nan_snr_bound_is_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, err = run(["train", "--epochs", "0", "--out-dir", str(out_dir), *TINY,
+                            "--snr-lo", "nan"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "snr_lo is NaN" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
     def test_negative_seed_is_2(self, command, tmp_path, capsys):
         argv = {"train": ["train", "--epochs", "0", "--out-dir", str(tmp_path / "run"), *TINY],

@@ -243,9 +243,10 @@ class TestSynthetic:
             build_synth(SynthConfig(train_per_class=0), seed=0)
 
     @pytest.mark.parametrize("snr_db, message", [
-        ((np.nan, 5.0), "snr_lo=nan exceeds"),
+        ((np.nan, 5.0), "snr_lo is NaN"),
         ((0.0, np.inf), "finite width"),
         ((-np.inf, np.inf), "finite width"),
+        ((5.0, np.nan), "snr_hi is NaN"),
     ])
     def test_unusable_snr_range_is_a_usage_error_before_any_draw(self, snr_db, message,
                                                                   monkeypatch):

@@ -11,7 +11,7 @@ from respden.errors import NumericError, ShapeError
 from respden.freq_filter import MASK_BLOCK, FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model
-from respden.tensor import Tensor
+from respden.tensor import Tensor, no_grad
 
 from oracles import (
     fft2, filter_direct, ifft2, mask_net, pointwise_mask_mlp, pointwise_mask_mlp_grads,
@@ -397,3 +397,55 @@ class TestHiddenLayerBound:
         params.w1.data[1, 2] = np.nan
         with pytest.raises(NumericError, match="hidden layer"):
             filter_forward(Tensor(np.random.default_rng(83).standard_normal((6, 8))), params)
+
+
+class TestRectifierPattern:
+    """The forward keeps the mask MLP's rectifier pattern, one bool per row and
+    hidden unit, only for a node that goes on the tape."""
+
+    @staticmethod
+    def spy_patterns(monkeypatch) -> list:
+        """The pattern array handed to each `mask_net` call (None for none)."""
+        seen, net = [], freq_filter_module.mask_net
+
+        def spying(*args, **kwargs):
+            seen.append(kwargs.get("on"))
+            return net(*args, **kwargs)
+
+        monkeypatch.setattr(freq_filter_module, "mask_net", spying)
+        return seen
+
+    @pytest.mark.parametrize("shape", [(9, 8), (3, 9, 8)])
+    def test_no_grad_forward_passes_no_pattern(self, shape, monkeypatch):
+        rng = np.random.default_rng(84)
+        params = random_params(rng, requires_grad=True)
+        seen = self.spy_patterns(monkeypatch)
+        with no_grad():
+            filter_forward(Tensor(rng.standard_normal(shape)), params)
+        assert seen == [None]
+
+    def test_constant_parameters_pass_no_pattern(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        seen = self.spy_patterns(monkeypatch)
+        filter_forward(Tensor(rng.standard_normal((9, 8))), random_params(rng))
+        assert seen == [None]
+
+    def test_node_on_the_tape_holds_a_bool_pattern_of_2n_hidden_entries_and_no_features(self):
+        rng = np.random.default_rng(86)
+        hidden, (t, f) = 6, (9, 8)
+        params = random_params(rng, hidden=hidden, scale=0.5, requires_grad=True)
+        x = rng.standard_normal((t, f))
+        out = filter_forward(Tensor(x), params)
+        n = t * (f // 2 + 1)
+        held = [c.cell_contents for c in out._backward_fn.__closure__]
+        patterns = [a for a in held if isinstance(a, np.ndarray) and a.size == 2 * n * hidden]
+        assert len(patterns) == 1 and patterns[0].dtype == bool
+        # the backward rebuilds the feature rows from the spectrum instead
+        assert not any(isinstance(a, np.ndarray) and a.shape == (2 * n, 3) for a in held)
+        # rows: every half-plane bin (re, im), then its partner (re, -im)
+        spec = np.fft.rfft2(x).reshape(-1, 1)
+        w1, b1 = params.w1.data, params.b1.data
+        pre = np.vstack((spec.real * w1[0] + spec.imag * w1[1],
+                         spec.real * w1[0] - spec.imag * w1[1])) + b1
+        assert np.abs(pre).min() > 1e-9
+        np.testing.assert_array_equal(patterns[0], pre > 0)
