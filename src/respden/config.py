@@ -105,6 +105,8 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: config key '{key}' is set twice")
         values[key] = _coerce(key, value)
     return values
 

@@ -30,6 +30,9 @@ def confusion_matrix(truths, preds) -> np.ndarray:
     preds = np.asarray(preds, dtype=np.int64)
     if truths.shape != preds.shape:
         raise ValueError(f"label/prediction lengths differ: {truths.shape} vs {preds.shape}")
+    for label in np.concatenate((truths, preds), axis=None):
+        if not 0 <= label < N_CLASSES:  # numpy would file -1 as the last class
+            raise ValueError(f"label {label} is outside 0..{N_CLASSES - 1}")
     conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(conf, (truths, preds), 1)
     return conf

@@ -31,8 +31,8 @@ def variant_name(flags: dict) -> str:
     return "+".join(on) if on else "full"
 
 
-def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)  # a JSON bool is an int subclass
+def _is_fraction(value) -> bool:
+    return type(value) in (int, float) and 0 <= value <= 1  # a JSON bool is an int subclass
 
 
 def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
@@ -40,7 +40,7 @@ def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
 
     Every record must be a JSON object, a header's config an object whose
     ablation flags are booleans, and each epoch record's sp, se and score
-    finite numbers; unknown keys are ignored.
+    numbers in [0, 1]; unknown keys are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,8 +70,8 @@ def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
                                    f"{', '.join(ABLATION_FLAGS)} must be JSON booleans")
             header = record
         elif record.get("type") == "epoch":
-            if not all(_is_finite_number(record.get(key)) for key in ("sp", "se", "score")):
-                raise DatasetError(f"{path}:{lineno}: an epoch record needs finite sp, se and score")
+            if not all(_is_fraction(record.get(key)) for key in ("sp", "se", "score")):
+                raise DatasetError(f"{path}:{lineno}: an epoch record needs sp, se and score in [0, 1]")
             epochs.append(record)
     if header is None or not epochs:
         raise DatasetError(f"metrics log {path} lacks a header or epoch records")

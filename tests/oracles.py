@@ -12,8 +12,8 @@ the six-node full-plane filter chain (`fft2`, `mask_net`, `symmetrize`,
 `soft_shrink`, `scale_complex`, `ifft2`, composed by `reference_filter`)
 that the one-node `freq_filter.filter_forward` replaced; its output and
 four parameter gradients must agree to 1e-10. Its `mask_net` node runs
-the library's blocked MLP and its rectifier-pattern pullback, so the
-per-bin loop oracle checks both through it. `mul` is also the
+the library's per-table blocked MLP kernel and its rectifier-pattern
+pullback, so the per-bin loop oracle checks both through it. `mul` is also the
 oracle of the chain's `scale_complex`. The resampling oracle is scipy's
 `resample_poly`, whose per-sample `upfirdn` loop the library's polyphase
 GEMMs replaced.
@@ -212,16 +212,18 @@ def mask_net(spectrum: Tensor, params) -> Tensor:
     """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
 
     relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
-    the full plane, through the library's blocked MLP and the pullback that
-    reads the rectifier pattern the MLP kept. Like
+    the full plane, through the library's per-table blocked MLP kernel, which
+    scans every block's hidden layer, and the pullback that reads the
+    rectifier pattern the kernel kept. Like
     the filter, it differentiates only its four parameters: the spectrum is
     data and gets no cotangent.
     """
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     _, t, f = spectrum.shape
     feats = _features(spectrum.data[0], spectrum.data[1])
-    on = np.empty((len(feats), w1b.shape[1]), bool)
-    out = freq_filter.mask_net(feats, w1b, w2, len(feats), on=on) + params.b2.data
+    raw, on = np.empty(len(feats)), np.empty((len(feats), w1b.shape[1]), bool)
+    freq_filter._mask_table(feats, w1b, w2, raw, on, check=True)
+    out = raw + params.b2.data
 
     def backward(g):
         g = g.reshape(-1)

@@ -394,6 +394,8 @@ class TestReportCommand:
         "not_utf8": HEADER + EPOCH + b"\xff\n",
         "nested_too_deep": HEADER + EPOCH + b"[" * 100_000 + b"\n",
         "flag_not_boolean": b'{"type": "header", "config": {"no_aff": "false"}}\n' + EPOCH,
+        "metric_above_one": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": 5.0'),
+        "metric_below_zero": HEADER + EPOCH.replace(b'"se": 0.5', b'"se": -0.5'),
     }
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_LOGS))

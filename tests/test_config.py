@@ -83,6 +83,12 @@ class TestFileGrammar:
         with pytest.raises(UsageError, match="nonsense"):
             parse_config({}, str(path))
 
+    def test_repeated_file_key_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.001\n# a comment\nlr = 0.5\n")
+        with pytest.raises(UsageError, match=r"run.cfg:3: config key 'lr' is set twice"):
+            parse_config({}, str(path))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs 10\n")

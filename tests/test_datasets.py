@@ -1,5 +1,6 @@
 """Dataset grammar, fixtures, synthesis determinism, persistence roundtrip."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -24,7 +25,7 @@ from respden.datasets import (
 )
 from respden.config import RunConfig
 from respden.errors import DatasetError, MissingAudioError, UsageError
-from respden.train import prepare_data
+from respden.train import prepare_data, synth_dataset
 from respden.wavio import MAX_SAMPLE_RATE, WavHeader, read_header, read_wav, write_wav
 
 from oracles import dft_peak_hz, scipy_read_wav
@@ -194,6 +195,16 @@ class TestSynthetic:
         assert [e.name for e in m1.entries] == [e.name for e in m2.entries]
         for a, b in zip(c1, c2):
             np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_default_corpus_is_pinned(self):
+        # the default corpus every run, bench workload and recorded figure starts from
+        manifest, clips = synth_dataset(RunConfig())
+        digest = hashlib.sha256()
+        for entry, clip in zip(manifest.entries, clips, strict=True):
+            digest.update(entry.name.encode("utf-8"))
+            digest.update(clip.samples.tobytes())
+        assert digest.hexdigest() == (
+            "be82c8b04169a358457af46d9c380e175628a8afcb35de1ab57d1610078f3ab3")
 
     def test_different_seed_differs(self):
         cfg = SynthConfig(train_per_class=2, test_per_class=0)

@@ -1,5 +1,7 @@
 """Learnable frequency filter: mask behaviour, oracle agreement, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -449,3 +451,20 @@ class TestRectifierPattern:
                          spec.real * w1[0] - spec.imag * w1[1])) + b1
         assert np.abs(pre).min() > 1e-9
         np.testing.assert_array_equal(patterns[0], pre > 0)
+
+
+class TestStackedFilterMemory:
+    def test_no_grad_four_clip_traced_peak(self):
+        # measured 2.5 MB at the default dims; a row table for the whole
+        # stack (1.6 MB) instead of one clip's at a time took it to 4.6 MB
+        params = Model(RunConfig()).filter_params()
+        x = Tensor(np.random.default_rng(87).standard_normal((4, 249, 64)))
+        with no_grad():
+            filter_forward(x, params)  # fill any lazy caches
+            tracemalloc.start()
+            try:
+                filter_forward(x, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3.5 * 2**20, peak

@@ -67,3 +67,9 @@ class TestComputeMetrics:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix([0, 1], [0])
+
+    @pytest.mark.parametrize("truths, preds, bad", [([0, -1], [0, 0], -1), ([0, 1], [4, 1], 4)])
+    def test_label_outside_the_classes_rejected(self, truths, preds, bad):
+        # numpy's negative indexing would count -1 as class 3
+        with pytest.raises(ValueError, match=f"label {bad} is outside 0..3"):
+            confusion_matrix(truths, preds)
