@@ -1,4 +1,4 @@
-"""Waveform preprocessing: resample -> fix length -> normalize -> log-mel.
+"""Waveform preprocessing: resample -> first 8 s -> normalize -> fix length -> log-mel.
 
 Every clip, real or synthetic, is standardized to 8 s at 16 kHz
 (128000 samples) and turned into a 249 x 64 log-mel spectrogram. The
@@ -158,8 +158,10 @@ class _Polyphase:
         rows = -(-n_out // (self.repeats * n_groups * _GROUP))
         # a clip shorter than one base period needs only its first groups
         n_groups = min(n_groups, -(-n_out // _GROUP))
-        padded = np.zeros(max(self.lead + x.size, self.reach + (rows - 1) * stride))
+        padded = np.empty(max(self.lead + x.size, self.reach + (rows - 1) * stride))
+        padded[: self.lead] = 0.0
         padded[self.lead : self.lead + x.size] = x
+        padded[self.lead + x.size :] = 0.0
         out = np.empty((rows, self.repeats, n_groups, _GROUP))
         step = padded.strides[0]
         for first, end, start in self.runs:
@@ -255,10 +257,15 @@ def fix_length(clip: AudioClip) -> AudioClip:
     if n == target:
         return clip
     if n > target:
-        out = clip.samples[:target]
-    else:
-        reps = -(-target // n)
-        out = np.tile(clip.samples, reps)[:target]
+        return AudioClip(clip.samples[:target], clip.sample_rate, clip.label, clip.subject_id)
+    # doubling copies of the filled prefix: the filled length stays a whole
+    # number of clips, so this is np.tile's output without its reps x n array
+    out = np.empty(target)
+    out[:n] = clip.samples
+    while n < target:
+        step = min(n, target - n)
+        out[n : n + step] = out[:step]
+        n += step
     return AudioClip(out, clip.sample_rate, clip.label, clip.subject_id)
 
 
@@ -333,7 +340,8 @@ def mel_spectrogram(clip: AudioClip) -> Spectrogram:
     n_bins = cfg.n_fft // 2 + 1
     windowed = np.empty((STFT_BLOCK, cfg.n_fft))
     spectrum = np.empty((STFT_BLOCK, n_bins), dtype=np.complex128)
-    power = np.empty((STFT_BLOCK, n_bins))
+    # a block's power overwrites its windowed frames once the rfft has read them
+    power = windowed.reshape(-1)[: STFT_BLOCK * n_bins].reshape(STFT_BLOCK, n_bins)
     mel = np.empty((N_FRAMES, cfg.n_mels))
     for lo in range(0, N_FRAMES, STFT_BLOCK):
         n = min(STFT_BLOCK, N_FRAMES - lo)
@@ -345,6 +353,18 @@ def mel_spectrogram(clip: AudioClip) -> Spectrogram:
     return Spectrogram(np.log(mel, out=mel), frame_rate=cfg.sample_rate / cfg.hop)
 
 
+def _first_8s(clip: AudioClip) -> AudioClip:
+    """A view of a 16 kHz clip's first 8 s; a shorter clip is all kept."""
+    return AudioClip(clip.samples[:TARGET_SAMPLES], clip.sample_rate, clip.label, clip.subject_id)
+
+
 def preprocess(clip: AudioClip) -> Spectrogram:
-    """Full pipeline: resample -> fix_length -> normalize_amplitude -> mel."""
-    return mel_spectrogram(normalize_amplitude(fix_length(resample(clip))))
+    """Full pipeline: resample -> first 8 s -> normalize_amplitude -> fix_length -> mel.
+
+    Bit-equal to normalizing after fix_length: a short clip's tile repeats
+    every sample, a long clip's peak comes from its first 8 s either way,
+    and each sample is divided by the same float. The peak scan and the
+    division touch only the samples the clip keeps, and each stage's input
+    is freed when the next stage returns.
+    """
+    return mel_spectrogram(fix_length(normalize_amplitude(_first_8s(resample(clip)))))

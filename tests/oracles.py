@@ -16,7 +16,9 @@ the library's per-table blocked MLP kernel and its rectifier-pattern
 pullback, so the per-bin loop oracle checks both through it. `mul` is also the
 oracle of the chain's `scale_complex`. The resampling oracle is scipy's
 `resample_poly`, whose per-sample `upfirdn` loop the library's polyphase
-GEMMs replaced.
+GEMMs replaced. `preprocess_composed` is the audio pipeline in its old stage
+order, normalizing after tiling, which `audio.preprocess` must match bit
+for bit.
 The summed-batch loss is the one-graph training step that the streamed
 per-sample backward replaced. The direct hybrid loss is the value oracle
 for the fused heads + loss node. The direct layer norm, attention and
@@ -36,6 +38,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
+import respden.audio as audio
 import respden.freq_filter as freq_filter
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
 from respden.errors import NumericError, ShapeError
@@ -550,6 +553,11 @@ def resample_poly_oracle(x: np.ndarray, rate: int, target: int = 16000) -> np.nd
     """`resample_poly` with its default Kaiser-windowed design, cut to round(n * target / rate)."""
     g = math.gcd(rate, target)
     return resample_poly(x, target // g, rate // g)[: round(x.size * target / rate)]
+
+
+def preprocess_composed(clip: audio.AudioClip) -> audio.Spectrogram:
+    """The pipeline with the peak taken and divided out after tiling, over all 8 s."""
+    return audio.mel_spectrogram(audio.normalize_amplitude(audio.fix_length(audio.resample(clip))))
 
 
 def kaiser_lowpass_firwin(numtaps: int, cutoff: float) -> np.ndarray:

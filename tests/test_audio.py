@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.array_utils import byte_bounds
 
 from respden import audio
@@ -33,6 +34,7 @@ from oracles import (
     kaiser_lowpass_firwin,
     mel_spectrogram_per_call,
     normalize_by_abs_peak,
+    preprocess_composed,
     resample_poly_oracle,
 )
 
@@ -58,6 +60,17 @@ def make_clip(samples, rate=16000, label=Label.NORMAL):
 def up_down(rate):
     g = math.gcd(16000, rate)
     return 16000 // g, rate // g
+
+
+def traced_peak_kb(fn, clip):
+    """tracemalloc's peak over one call, after a warm call fills the design caches."""
+    fn(clip)
+    tracemalloc.start()
+    try:
+        fn(clip)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 class TestColdStart:
@@ -185,6 +198,23 @@ class TestResample:
         one, two = (run_with_blas_threads(_RESAMPLE_AND_HASH, t) for t in (1, 2))
         assert one == two
 
+    @pytest.mark.parametrize("seconds", [2.7, 12.7], ids=["short", "long"])
+    @pytest.mark.parametrize("rate", [4000, 44100])
+    def test_pads_do_not_read_freed_memory(self, rate, seconds):
+        # the padded input starts from np.empty and only its pads are zeroed:
+        # NaN left in a freed buffer of the same size must not reach the output
+        x = np.random.default_rng(rate).uniform(-1, 1, int(rate * seconds))
+        fresh = resample(make_clip(x, rate=rate)).samples.copy()
+        # the padded input's size, as `_Polyphase.apply` computes it
+        design = audio._polyphase(*up_down(rate))
+        rows = -(-fresh.size // (design.repeats * design.taps.shape[0] * 16))
+        size = max(design.lead + x.size, design.reach + (rows - 1) * design.repeats * design.advance)
+        for _ in range(3):
+            dirty = np.full(size, np.nan)
+            del dirty
+            got = resample(make_clip(x, rate=rate)).samples
+            assert got.tobytes() == fresh.tobytes()
+
     def test_cached_filter_is_read_only(self):
         taps = audio._polyphase(160, 441).taps
         assert taps.shape == (160 // 16, 100, 16)
@@ -226,6 +256,13 @@ class TestFixLength:
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
             make_clip(np.array([]))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(n=st.integers(1, TARGET_SAMPLES), seed=st.integers(0, 2**32 - 1))
+    def test_equals_tiled_clip(self, n, seed):
+        x = np.random.default_rng(seed).uniform(-1, 1, n)
+        want = np.tile(x, -(-TARGET_SAMPLES // n))[:TARGET_SAMPLES]
+        assert fix_length(make_clip(x)).samples.tobytes() == want.tobytes()
 
 
 class TestNormalizeAmplitude:
@@ -318,16 +355,11 @@ class TestMelSpectrogram:
                                       mel_spectrogram_per_call(x))
 
     def test_peak_traced_heap_of_one_call(self):
-        # blocks of 32 frames measured 912 KB, most of it the three block
-        # buffers and the output; the whole-clip temporaries took 3990 KB
+        # blocks of 32 frames measured 783 KB, most of it the two block
+        # buffers (power reuses the windowed frames') and the output; a
+        # separate power buffer took 912 KB, whole-clip temporaries 3990 KB
         clip = make_clip(np.random.default_rng(12).uniform(-1, 1, TARGET_SAMPLES))
-        tracemalloc.start()
-        try:
-            mel_spectrogram(clip)
-            peak_kb = tracemalloc.get_traced_memory()[1] / 1024
-        finally:
-            tracemalloc.stop()
-        assert peak_kb <= 1100
+        assert traced_peak_kb(mel_spectrogram, clip) <= 850
 
     @pytest.mark.parametrize("name", ["_WINDOW"])
     def test_analysis_constants_are_read_only(self, name):
@@ -362,7 +394,66 @@ class TestFullPipeline:
         clip = make_clip(rng.uniform(-1, 1, int(rate * seconds)), rate=rate)
         assert preprocess(clip).shape == (249, 64)
 
+    @pytest.mark.parametrize("rate,seconds", [(44100, 2.7), (16000, 8.0)], ids=["cycle", "exact"])
+    def test_peak_traced_heap(self, rate, seconds):
+        # 1784 KB for both: the 8 s tile, the STFT's block buffers and the
+        # output; normalizing after tiling kept one more clip-sized array
+        # alive (2014 and 1912 KB)
+        x = np.random.default_rng(13).uniform(-1, 1, int(rate * seconds))
+        assert traced_peak_kb(preprocess, make_clip(x, rate=rate)) <= 1850
+
     def test_label_and_subject_survive_stages(self):
         clip = AudioClip(np.ones(1000) * 0.5, 32000, Label.WHEEZE, "p42")
         staged = normalize_amplitude(fix_length(resample(clip)))
         assert staged.label == Label.WHEEZE and staged.subject_id == "p42"
+
+
+def _spike(x, at, value):
+    x = x.copy()
+    x[at] = value
+    return x
+
+
+_rng = np.random.default_rng(14)
+#: (samples, rate) of clips whose features must not depend on the stage order
+ORDER_CASES = {
+    "4k-cycle": (_rng.uniform(-1, 1, int(2.7 * 4000)), 4000),
+    "10k-cycle": (_rng.uniform(-1, 1, int(2.7 * 10000)), 10000),
+    "44k-cycle": (_rng.uniform(-1, 1, int(2.7 * 44100)), 44100),
+    "16k-exact": (_rng.uniform(-1, 1, TARGET_SAMPLES), 16000),
+    "one-sample": (np.array([0.37]), 16000),
+    "all-zero": (np.zeros(int(2.7 * 44100)), 44100),
+    "negative-peak": (_spike(_rng.uniform(-0.3, 0.3, int(2.7 * 16000)), 1000, -0.9), 16000),
+    "16k-peak-after-8s": (_spike(_rng.uniform(-0.3, 0.3, 12 * 16000), 10 * 16000, 0.95), 16000),
+    "44k-peak-after-8s": (_spike(_rng.uniform(-0.3, 0.3, int(12.7 * 44100)), 10 * 44100, -0.95), 44100),
+}
+
+STAGES = ("resample", "normalize_amplitude", "fix_length", "mel_spectrogram")
+
+
+class TestStageOrder:
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    def test_bit_equal_to_normalizing_after_tiling(self, case):
+        x, rate = ORDER_CASES[case]
+        clip = make_clip(x, rate=rate)
+        assert np.array_equal(preprocess(clip).values, preprocess_composed(clip).values)
+
+    def test_long_cycle_peak_lies_after_8s(self):
+        # the case that fails if the peak is taken before truncation
+        x, rate = ORDER_CASES["44k-peak-after-8s"]
+        samples = resample(make_clip(x, rate=rate)).samples
+        assert np.abs(samples).max() > np.abs(samples[:TARGET_SAMPLES]).max()
+
+    @pytest.mark.parametrize("rate,seconds", [(44100, 2.7), (16000, 8.0), (44100, 12.7)],
+                             ids=["short", "exact", "long"])
+    def test_each_stage_runs_once_through_its_module_attribute(self, rate, seconds, monkeypatch):
+        # perfbench's tracer times these stages by swapping the same attributes
+        calls = []
+        for name in STAGES:
+            def spy(clip, _real=getattr(audio, name), _name=name):
+                calls.append(_name)
+                return _real(clip)
+            monkeypatch.setattr(audio, name, spy)
+        x = np.random.default_rng(15).uniform(-1, 1, int(rate * seconds))
+        assert preprocess(make_clip(x, rate=rate)).shape == (249, 64)
+        assert calls == list(STAGES)
