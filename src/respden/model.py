@@ -146,6 +146,7 @@ class Model:
         return {n: p for n, p in self.params.items() if p.requires_grad}
 
     def zero_grads(self) -> None:
+        """Release every gradient; each reads zero until the next backward reaches it."""
         for p in self.params.values():
             p.zero_grad()
 

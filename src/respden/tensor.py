@@ -10,8 +10,11 @@ Design constraints honoured here:
 * all math is double precision;
 * every operation checks its output for NaN/Inf and raises `NumericError`
   instead of propagating garbage;
-* gradient buffers of leaf tensors (parameters) are zero-initialised, so a
-  parameter that a loss never touches reports an all-zero gradient;
+* a leaf tensor (parameter) is built with a zero gradient buffer;
+  `zero_grad()` swaps it for a read-only zero view that holds no memory,
+  and the first cotangent after that becomes an owned copy that later
+  ones add into, so a parameter that a loss never touches reports an
+  all-zero gradient either way;
 * one graph belongs to one thread; tensors themselves are read-only after
   construction except for gradient accumulation during backward.
 """
@@ -106,8 +109,9 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
+        """Release the gradient: a read-only zero view that holds no memory."""
         if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.broadcast_to(0.0, self.data.shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -148,7 +152,8 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        if self._leaf:  # a leaf accumulates its seed, as it accumulates a child's cotangent
+        if self._leaf and self.grad.flags.writeable:
+            # a leaf accumulates its seed, as it accumulates a child's cotangent
             self.grad += seed
         else:
             self.grad = np.array(seed, dtype=np.float64)
@@ -160,8 +165,8 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    # first touch: own a copy instead of zeros + add
+                if parent.grad is None or not parent.grad.flags.writeable:
+                    # first touch (or first since zero_grad): own a copy instead of zeros + add
                     parent.grad = np.array(g, dtype=np.float64)
                 else:
                     parent.grad += g

@@ -158,6 +158,10 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
           log_path: str | None = None) -> TrainResult:
     """Run Adam over the hybrid loss; returns the model, state, and history.
 
+    Each step's gradients live from the step's first backward to its Adam
+    update and are then released, so the returned model's gradients read
+    zero and hold no memory.
+
     Metrics in each epoch record are computed on the test split when one
     exists, otherwise on the training split. A non-finite loss aborts with
     a diagnostic naming the epoch and step, and non-finite values in an
@@ -182,7 +186,6 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
         seen = 0
         for lo in range(0, len(order), cfg.batch):
             batch = order[lo : lo + cfg.batch]
-            model.zero_grads()
             try:
                 value = _batch_loss(model, data, batch)
                 trainable = model.trainable()
@@ -190,6 +193,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
                           lr=cfg.lr, weight_decay=cfg.weight_decay)
             except NumericError as exc:
                 raise TrainingError(f"non-finite loss at epoch {epoch} step {steps_done}: {exc}") from exc
+            model.zero_grads()  # Adam has read them: free them until the next backward
             result.step_losses.append(value)
             epoch_loss += value * len(batch)
             seen += len(batch)

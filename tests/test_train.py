@@ -174,6 +174,13 @@ class TestTraining:
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="epoch 0 step 0"):
             train(tiny_cfg())
 
+    @pytest.mark.parametrize("variant", [{}, {"no_aff": True}], ids=["full", "no_aff"])
+    def test_trained_model_holds_no_gradient_memory(self, variant):
+        result = train(tiny_cfg(epochs=1, **variant))
+        for name, p in result.model.trainable().items():
+            assert not p.grad.flags.writeable and not p.grad.flags.owndata, name
+            assert not p.grad.any(), name
+
     def test_zero_epochs_equals_initialization(self):
         cfg = tiny_cfg(epochs=0)
         result = train(cfg)
