@@ -146,9 +146,13 @@ class Model:
         return {n: p for n, p in self.params.items() if p.requires_grad}
 
     def zero_grads(self) -> None:
-        """Release every gradient; each reads zero until the next backward reaches it."""
         for p in self.params.values():
             p.zero_grad()
+
+    def release_grads(self) -> None:
+        """Drop every gradient buffer (`grad = None`); `zero_grads()` makes new ones."""
+        for p in self.params.values():
+            p.grad = None
 
     # -- component views --------------------------------------------------------
 

@@ -10,11 +10,10 @@ Design constraints honoured here:
 * all math is double precision;
 * every operation checks its output for NaN/Inf and raises `NumericError`
   instead of propagating garbage;
-* a leaf tensor (parameter) is built with a zero gradient buffer;
-  `zero_grad()` swaps it for a read-only zero view that holds no memory,
-  and the first cotangent after that becomes an owned copy that later
-  ones add into, so a parameter that a loss never touches reports an
-  all-zero gradient either way;
+* gradient buffers of leaf tensors (parameters) are zero-initialised, so a
+  parameter that a loss never touches reports an all-zero gradient; a
+  leaf whose gradient was released (`grad = None`) takes its first
+  cotangent as an owned copy, as an intermediate tensor does;
 * one graph belongs to one thread; tensors themselves are read-only after
   construction except for gradient accumulation during backward.
 """
@@ -109,9 +108,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        """Release the gradient: a read-only zero view that holds no memory."""
         if self.requires_grad:
-            self.grad = np.broadcast_to(0.0, self.data.shape)
+            self.grad = np.zeros_like(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -152,7 +150,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        if self._leaf and self.grad.flags.writeable:
+        if self._leaf and self.grad is not None:
             # a leaf accumulates its seed, as it accumulates a child's cotangent
             self.grad += seed
         else:
@@ -165,8 +163,8 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None or not parent.grad.flags.writeable:
-                    # first touch (or first since zero_grad): own a copy instead of zeros + add
+                if parent.grad is None:
+                    # first touch: own a copy instead of zeros + add
                     parent.grad = np.array(g, dtype=np.float64)
                 else:
                     parent.grad += g

@@ -158,9 +158,9 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
           log_path: str | None = None) -> TrainResult:
     """Run Adam over the hybrid loss; returns the model, state, and history.
 
-    Each step's gradients live from the step's first backward to its Adam
-    update and are then released, so the returned model's gradients read
-    zero and hold no memory.
+    The returned model holds no gradients: once the last step's Adam update
+    has read them they are released (`grad` is None), so a caller that keeps
+    the model does not keep a parameter-sized buffer nothing reads.
 
     Metrics in each epoch record are computed on the test split when one
     exists, otherwise on the training split. A non-finite loss aborts with
@@ -186,6 +186,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
         seen = 0
         for lo in range(0, len(order), cfg.batch):
             batch = order[lo : lo + cfg.batch]
+            model.zero_grads()
             try:
                 value = _batch_loss(model, data, batch)
                 trainable = model.trainable()
@@ -193,7 +194,6 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
                           lr=cfg.lr, weight_decay=cfg.weight_decay)
             except NumericError as exc:
                 raise TrainingError(f"non-finite loss at epoch {epoch} step {steps_done}: {exc}") from exc
-            model.zero_grads()  # Adam has read them: free them until the next backward
             result.step_losses.append(value)
             epoch_loss += value * len(batch)
             seen += len(batch)
@@ -206,4 +206,5 @@ def train(cfg: RunConfig, manifest: DatasetManifest | None = None,
         result.history.append(record)
         if log_path:
             _write_line(log_path, record.to_json(), "a")
+    model.release_grads()
     return result
