@@ -340,14 +340,17 @@ def mel_spectrogram(clip: AudioClip) -> Spectrogram:
     n_bins = cfg.n_fft // 2 + 1
     windowed = np.empty((STFT_BLOCK, cfg.n_fft))
     spectrum = np.empty((STFT_BLOCK, n_bins), dtype=np.complex128)
-    # a block's power overwrites its windowed frames once the rfft has read them
+    # a block's power, re^2 + im^2 squared in place in its spectrum (no hypot),
+    # overwrites its windowed frames once the rfft has read them
     power = windowed.reshape(-1)[: STFT_BLOCK * n_bins].reshape(STFT_BLOCK, n_bins)
     mel = np.empty((N_FRAMES, cfg.n_mels))
     for lo in range(0, N_FRAMES, STFT_BLOCK):
         n = min(STFT_BLOCK, N_FRAMES - lo)
         np.multiply(frames[lo : lo + n], _WINDOW, out=windowed[:n])
         np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
-        np.square(np.abs(spectrum[:n], out=power[:n]), out=power[:n])
+        sq = spectrum[:n].view(np.float64)
+        np.square(sq, out=sq)
+        np.add(sq[:, 0::2], sq[:, 1::2], out=power[:n])
         mel[lo : lo + n] = (_MEL_BANK @ power[:n].T).T
     mel += cfg.log_floor
     return Spectrogram(np.log(mel, out=mel), frame_rate=cfg.sample_rate / cfg.hop)

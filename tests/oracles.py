@@ -582,12 +582,25 @@ def dft_frame_direct(frame: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def power_re2_im2(spectrum: np.ndarray) -> np.ndarray:
+    """The textbook |X|^2: re^2 + im^2, with no square root."""
+    return spectrum.real ** 2 + spectrum.imag ** 2
+
+
+def power_hypot_squared(spectrum: np.ndarray) -> np.ndarray:
+    """|X|^2 as hypot(re, im)^2, the library mel's power before it squared
+    the spectrum's floats in place."""
+    return np.abs(spectrum) ** 2
+
+
 def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_fft: int = 1024,
                              hop: int = 512, n_mels: int = 64, fmin: float = 0.0,
-                             fmax: float = 8000.0, log_floor: float = 1e-6) -> np.ndarray:
+                             fmax: float = 8000.0, log_floor: float = 1e-6,
+                             power_of=power_re2_im2) -> np.ndarray:
     """Log-mel energies with the periodic Hann window and the triangular
-    filterbank rebuilt, one band at a time, on every call, and each band's
-    energy summed bin by bin."""
+    filterbank rebuilt, one band at a time, on every call, each frame's
+    power taken by `power_of` from its rfft, and each band's energy summed
+    bin by bin."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -606,7 +619,7 @@ def mel_spectrogram_per_call(samples: np.ndarray, sample_rate: int = 16000, n_ff
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
     n_frames = 1 + (samples.size - n_fft) // hop
     frames = np.stack([samples[i * hop:i * hop + n_fft] for i in range(n_frames)])
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    power = power_of(np.fft.rfft(frames * window, axis=1))
     # each band sums its nonzero bins one at a time in ascending order: the
     # order the library's sparse product fixes at any BLAS thread count
     mel = np.zeros((n_frames, n_mels))
