@@ -6,11 +6,14 @@ an ablation-style table comparing the full model with the filter removed.
 Run:  python demos/05_training_run.py
 """
 
-from respden.config import RunConfig, validate_config
+import dataclasses
+
+from respden.config import RunConfig
 from respden.report import render_ablation_table, variant_name
 from respden.train import evaluate_split, prepare_data, train
 
-base = dict(
+# a RunConfig checks itself when built: a value out of range raises UsageError here
+base = RunConfig(
     dim=32, heads=4, layers=1, mask_hidden=8,
     epochs=6, batch=8, lr=1e-3, weight_decay=0.0,
     dataset="synth", train_per_class=6, test_per_class=3,
@@ -18,8 +21,8 @@ base = dict(
 )
 
 rows = []
-for overrides in ({}, {"no_aff": True}):
-    cfg = validate_config(RunConfig(**base, **overrides))
+# configs are frozen: the ablation variant is a checked copy with one flag changed
+for cfg in (base, dataclasses.replace(base, no_aff=True)):
     result = train(cfg)
     data = prepare_data(cfg)
     report = evaluate_split(result.model, data, "test")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, check_value_types, validate_config
+from .config import RunConfig
 from .errors import (
     BadMagicError, CheckpointError, NumericError, TruncatedError, UsageError, VersionError,
 )
@@ -53,9 +53,9 @@ class Checkpoint:
     adam_step: int | None = None
 
     def run_config(self) -> RunConfig:
-        """The stored config, validated; a stored config that is not valid is a corrupt file."""
+        """The stored config; one that `RunConfig` rejects marks a corrupt file."""
         try:
-            return validate_config(RunConfig(**check_value_types(self.config)))
+            return RunConfig(**self.config)
         except (TypeError, UsageError) as exc:
             raise CheckpointError(f"checkpoint holds an invalid config: {exc}") from exc
 

@@ -18,7 +18,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import FIELD_TYPES, RunConfig, parse_config, validate_config
+from .config import FIELD_TYPES, RunConfig, parse_config
 from .datasets import write_synth
 from .errors import (
     CheckpointError,
@@ -84,15 +84,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("eval requires --checkpoint")
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    cfg = model.cfg
+    overrides = {}
     if args.dataset is not None:
         # the stored split file names the training corpus's recordings, not this one's
-        cfg.dataset, cfg.split_file = args.dataset, ""
+        overrides.update(dataset=args.dataset, split_file="")
     for key in ("split_file", "seed"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
-    data = prepare_data(validate_config(cfg))
+            overrides[key] = value
+    data = prepare_data(dataclasses.replace(model.cfg, **overrides))
     report = evaluate_split(model, data, args.split)
     print(f"confusion (rows=truth):\n{report.confusion}")
     print(f"Sp/Se/Score: {format_triple(report.sp, report.se, report.score)}")

@@ -3,6 +3,10 @@
 Config files are flat ``key = value`` text ('#' starts a comment).
 Precedence is command-line flags > file values > built-in defaults.
 Unknown keys are rejected.
+
+`RunConfig` and `SynthConfig` are frozen and check themselves when built,
+whatever builds them: flags, a config file, a checkpoint or a library call.
+A value of the wrong type or out of range raises `UsageError` there.
 """
 
 from __future__ import annotations
@@ -14,7 +18,34 @@ from dataclasses import dataclass
 from .errors import UsageError
 
 
-@dataclass
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise UsageError(msg)
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """The synthetic corpus's shape; only one that `build_synth` can draw is built."""
+    train_per_class: int = 25
+    test_per_class: int = 10
+    train_subjects: int = 6
+    test_subjects: int = 4
+    snr_db: tuple[float, float] = (5.0, 20.0)
+
+    def __post_init__(self):
+        _need(self.train_per_class >= 1,
+              f"train_per_class must be >= 1, got {self.train_per_class}")
+        _need(self.test_per_class >= 0, f"test_per_class must be >= 0, got {self.test_per_class}")
+        _need(self.train_subjects >= 1 and self.test_subjects >= 1, "subject counts must be >= 1")
+        snr_lo, snr_hi = self.snr_db
+        for name, db in (("snr_lo", snr_lo), ("snr_hi", snr_hi)):
+            _need(not math.isnan(db), f"{name} is NaN; an SNR bound must be a number of dB")
+        _need(snr_lo <= snr_hi, f"snr_lo={snr_lo} exceeds snr_hi={snr_hi}")
+        _need(math.isfinite(snr_hi - snr_lo),
+              f"snr range {snr_lo}..{snr_hi} must have a finite width")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     dataset: str = "synth"          # "synth" or a directory of WAV + annotations
     split_file: str = ""            # defaults to <dataset>/split.txt for directories
@@ -44,12 +75,40 @@ class RunConfig:
     no_bias_loss: bool = False
 
     # synthetic dataset shape
-    train_per_class: int = 25
-    test_per_class: int = 10
-    train_subjects: int = 6
-    test_subjects: int = 4
-    snr_lo: float = 5.0
-    snr_hi: float = 20.0
+    train_per_class: int = SynthConfig.train_per_class
+    test_per_class: int = SynthConfig.test_per_class
+    train_subjects: int = SynthConfig.train_subjects
+    test_subjects: int = SynthConfig.test_subjects
+    snr_lo: float = SynthConfig.snr_db[0]
+    snr_hi: float = SynthConfig.snr_db[1]
+
+    def __post_init__(self):
+        for key, f in _FIELDS.items():
+            value = getattr(self, key)
+            accepted = (int, float) if f.type == "float" else FIELD_TYPES[f.type]
+            # bool is an int subclass: only a bool field takes one
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, accepted):
+                raise UsageError(f"config key '{key}' must be of type {f.type}, got {value!r}")
+        _need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        _need(0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr}")
+        _need(0 <= self.weight_decay < math.inf,
+              f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        _need(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
+        _need(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
+        _need(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta}")
+        _need(0.0 <= self.epsilon < 1.0, f"epsilon must be in [0, 1), got {self.epsilon}")
+        _need(0.0 <= self.alpha < math.inf, f"alpha must be finite and >= 0, got {self.alpha}")
+        _need(self.dim >= 1 and self.heads >= 1 and self.layers >= 0,
+              "model dimensions must be positive")
+        _need(self.mask_hidden >= 1, f"mask_hidden must be >= 1, got {self.mask_hidden}")
+        _need(self.dim % (2 * self.heads) == 0, f"dim={self.dim} must be divisible by "
+              f"2*heads={2 * self.heads} for the query/key split")
+        self.synth()
+
+    def synth(self) -> SynthConfig:
+        """The synthetic corpus that the synth fields describe."""
+        return SynthConfig(self.train_per_class, self.test_per_class, self.train_subjects,
+                           self.test_subjects, (self.snr_lo, self.snr_hi))
 
     def snapshot(self) -> dict:
         return dataclasses.asdict(self)
@@ -75,20 +134,6 @@ def _coerce(key: str, value: str):
         raise UsageError(f"config key '{key}': {exc}") from exc
 
 
-def check_value_types(values: dict) -> dict:
-    """`values`, if each value of a known field has that field's type (an int
-    may stand for a float); else `UsageError` naming the key."""
-    for key, value in values.items():
-        if key not in _FIELDS:
-            continue
-        ftype = _FIELDS[key].type
-        accepted = (int, float) if ftype == "float" else FIELD_TYPES[ftype]
-        # bool is an int subclass: only a bool field takes one
-        if isinstance(value, bool) != (ftype == "bool") or not isinstance(value, accepted):
-            raise UsageError(f"config key '{key}' must be of type {ftype}, got {value!r}")
-    return values
-
-
 def parse_config_file(path: str) -> dict:
     values = {}
     try:
@@ -111,42 +156,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise UsageError(msg)
-
-
-def check_synth(train_per_class: int, test_per_class: int, train_subjects: int,
-                test_subjects: int, snr_lo: float, snr_hi: float) -> None:
-    """`UsageError` unless the values describe a synthetic corpus `build_synth` can draw."""
-    _need(train_per_class >= 1, f"train_per_class must be >= 1, got {train_per_class}")
-    _need(test_per_class >= 0, f"test_per_class must be >= 0, got {test_per_class}")
-    _need(train_subjects >= 1 and test_subjects >= 1, "subject counts must be >= 1")
-    for name, db in (("snr_lo", snr_lo), ("snr_hi", snr_hi)):
-        _need(not math.isnan(db), f"{name} is NaN; an SNR bound must be a number of dB")
-    _need(snr_lo <= snr_hi, f"snr_lo={snr_lo} exceeds snr_hi={snr_hi}")
-    _need(math.isfinite(snr_hi - snr_lo), f"snr range {snr_lo}..{snr_hi} must have a finite width")
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    _need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
-    _need(0 < cfg.lr < math.inf, f"lr must be finite and > 0, got {cfg.lr}")
-    _need(0 <= cfg.weight_decay < math.inf,
-          f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
-    _need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")
-    _need(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
-    _need(0.0 <= cfg.beta <= 1.0, f"beta must be in [0, 1], got {cfg.beta}")
-    _need(0.0 <= cfg.epsilon < 1.0, f"epsilon must be in [0, 1), got {cfg.epsilon}")
-    _need(0.0 <= cfg.alpha < math.inf, f"alpha must be finite and >= 0, got {cfg.alpha}")
-    _need(cfg.dim >= 1 and cfg.heads >= 1 and cfg.layers >= 0, "model dimensions must be positive")
-    _need(cfg.mask_hidden >= 1, f"mask_hidden must be >= 1, got {cfg.mask_hidden}")
-    _need(cfg.dim % (2 * cfg.heads) == 0,
-          f"dim={cfg.dim} must be divisible by 2*heads={2 * cfg.heads} for the query/key split")
-    check_synth(cfg.train_per_class, cfg.test_per_class, cfg.train_subjects, cfg.test_subjects,
-                cfg.snr_lo, cfg.snr_hi)
-    return cfg
-
-
 def parse_config(overrides: dict, config_file: str | None = None) -> RunConfig:
     """Merge defaults, an optional config file, and explicit overrides."""
     values = dataclasses.asdict(RunConfig())
@@ -160,4 +169,4 @@ def parse_config(overrides: dict, config_file: str | None = None) -> RunConfig:
             raise UsageError(f"unknown config key '{key}'")
         if value is not None:
             values[key] = value
-    return validate_config(RunConfig(**values))
+    return RunConfig(**values)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioClip, Label, TARGET_RATE, TARGET_SECONDS, resampled_length
-from .config import RunConfig, check_synth
+# SynthConfig lives with RunConfig; perfbench/workloads.py builds it as datasets.SynthConfig
+from .config import SynthConfig
 from .errors import DatasetError, MissingAudioError
 # read_wav is unused here but stays importable: perfbench/tracer.py wraps datasets.read_wav
 from .wavio import MAX_SAMPLE_RATE, WavHeader, read_header, read_wav, write_wav
@@ -175,19 +176,6 @@ def load_dataset(dir_path: str, split_file: str) -> tuple[DatasetManifest, Cycle
 # -- synthetic data ----------------------------------------------------------------
 
 
-_RUN_DEFAULTS = RunConfig()
-
-
-@dataclass
-class SynthConfig:
-    """The synthetic corpus's shape; the defaults are `RunConfig`'s synth fields."""
-    train_per_class: int = _RUN_DEFAULTS.train_per_class
-    test_per_class: int = _RUN_DEFAULTS.test_per_class
-    train_subjects: int = _RUN_DEFAULTS.train_subjects
-    test_subjects: int = _RUN_DEFAULTS.test_subjects
-    snr_db: tuple[float, float] = (_RUN_DEFAULTS.snr_lo, _RUN_DEFAULTS.snr_hi)
-
-
 def _band_noise(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     """Noise floor with a 100-1000 Hz emphasis and a gentle 1/sqrt(f) tilt."""
     white = rng.standard_normal(n)
@@ -259,10 +247,7 @@ def _synth_subject(split: str, k: int) -> str:
 
 
 def build_synth(cfg: SynthConfig, seed: int) -> tuple[DatasetManifest, list[AudioClip]]:
-    """Deterministic in-memory synthetic dataset, subject-disjoint by split;
-    `UsageError` for a config that `check_synth` rejects."""
-    check_synth(cfg.train_per_class, cfg.test_per_class, cfg.train_subjects, cfg.test_subjects,
-                *cfg.snr_db)
+    """Deterministic in-memory synthetic dataset, subject-disjoint by split."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(b"synth")))
     manifest = DatasetManifest()
     clips: list[AudioClip] = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import (BackboneParams, BlockParams, MhdaParams, N_TOKENS, PATCH_DIM, denoise_block,
                         mhda, patch_embed, swish_glu)
-from .config import RunConfig, validate_config
+from .config import RunConfig
 from .freq_filter import FilterParams, filter_forward
 from .losses import HeadParams, total_loss
 from .model import Model, seed_stream
@@ -233,8 +233,7 @@ def composed_model_suite(seed: int = 0, max_entries: int = 8) -> list[CheckRow]:
     preactivations across their rectifier kinks within the probe step;
     differentiability at a point is what central differences can measure.
     """
-    cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=8,
-                                    epochs=1, dataset="synth"))
+    cfg = RunConfig(dim=32, heads=4, layers=1, mask_hidden=8, epochs=1, dataset="synth")
     model = Model(cfg, rng=seed_stream(seed, "init"))
     rng = np.random.default_rng(seed + 100)
     # heads are zero-initialized in production; probe at a generic point so

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import AudioClip, preprocess
 from .config import RunConfig
-from .datasets import DatasetManifest, SynthConfig, build_synth, load_dataset
+from .datasets import DatasetManifest, build_synth, load_dataset
 from .errors import NumericError, TrainingError, UndefinedMetricError
 from .metrics import MetricsReport, compute_metrics, confusion_matrix
 from .model import Model, seed_stream
@@ -61,11 +61,7 @@ class TrainResult:
 
 def synth_dataset(cfg: RunConfig) -> tuple[DatasetManifest, list]:
     """The in-memory synthetic corpus that the config's synth fields describe."""
-    return build_synth(SynthConfig(
-        train_per_class=cfg.train_per_class, test_per_class=cfg.test_per_class,
-        train_subjects=cfg.train_subjects, test_subjects=cfg.test_subjects,
-        snr_db=(cfg.snr_lo, cfg.snr_hi),
-    ), cfg.seed)
+    return build_synth(cfg.synth(), cfg.seed)
 
 
 def resolve_dataset(cfg: RunConfig) -> tuple[DatasetManifest, Sequence[AudioClip]]:

@@ -54,6 +54,15 @@ MALFORMED = {
     "float_for_int_key": (container(header({"heads": 2.0})), "heads"),
     "int_for_str_key": (container(header({"dataset": 5})), "dataset"),
     "str_for_bool_key": (container(header({"no_aff": "yes"})), "no_aff"),
+    # a value of the right type that `RunConfig` rejects when built
+    "config_out_of_range": (container(header({"batch": 0})), "batch must be >= 1"),
+    "epoch_not_int": (container(b'{"config": {}, "epoch": "3", "adam_step": null}'),
+                      "an int epoch"),
+    "adam_step_not_int": (container(b'{"config": {}, "epoch": 0, "adam_step": 1.5}'),
+                          "an int or null adam_step"),
+    # numpy arrays have at most 64 dimensions
+    "block_of_65_dimensions": (container(header({}), block_head(b"pos", [1] * 65) + bytes(8), 1),
+                               "'pos' has an unusable shape"),
     # a second block of one name would silently replace the first
     "repeated_param_block": (
         container(header({}), 2 * (block_head(b"pos", [1]) + bytes(8)), 2),

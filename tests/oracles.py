@@ -26,13 +26,18 @@ SwishGLU sublayers are the fused kernels' arithmetic with np.mean/np.var
 and a fresh array per step, which the kernels' plain sums and in-place
 buffers must reproduce bit for bit. The WAV oracle is
 `scipy.io.wavfile.read` followed by the scaling that `read_wav` applied
-when it delegated decoding to scipy.
+when it delegated decoding to scipy. `check_value_types`, `validate_config`
+and `check_synth` are the free config checks that callers had to remember
+before `RunConfig` and `SynthConfig` checked themselves when built; the
+built configs must reject exactly what they rejected, with the same message.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.io import wavfile
@@ -41,7 +46,8 @@ from scipy.signal import firwin, resample_poly
 import respden.audio as audio
 import respden.freq_filter as freq_filter
 from respden.attention import N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
-from respden.errors import NumericError, ShapeError
+from respden.config import FIELD_TYPES, RunConfig
+from respden.errors import NumericError, ShapeError, UsageError
 from respden.tensor import Tensor, _check_finite, layer_norm
 
 
@@ -682,3 +688,65 @@ def scipy_read_wav(path: str) -> tuple[np.ndarray, int]:
     if not scaled:
         samples = np.clip(samples, -1.0, 1.0)
     return samples, int(rate)
+
+
+# -- free config checks ----------------------------------------------------------------
+
+_RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise UsageError(msg)
+
+
+def check_value_types(values: dict) -> dict:
+    """`values`, if each value of a known field has that field's type (an int
+    may stand for a float); else `UsageError` naming the key."""
+    for key, value in values.items():
+        if key not in _RUN_FIELDS:
+            continue
+        ftype = _RUN_FIELDS[key].type
+        accepted = (int, float) if ftype == "float" else FIELD_TYPES[ftype]
+        # bool is an int subclass: only a bool field takes one
+        if isinstance(value, bool) != (ftype == "bool") or not isinstance(value, accepted):
+            raise UsageError(f"config key '{key}' must be of type {ftype}, got {value!r}")
+    return values
+
+
+def check_synth(train_per_class: int, test_per_class: int, train_subjects: int,
+                test_subjects: int, snr_lo: float, snr_hi: float) -> None:
+    """`UsageError` unless the values describe a synthetic corpus `build_synth` can draw."""
+    _need(train_per_class >= 1, f"train_per_class must be >= 1, got {train_per_class}")
+    _need(test_per_class >= 0, f"test_per_class must be >= 0, got {test_per_class}")
+    _need(train_subjects >= 1 and test_subjects >= 1, "subject counts must be >= 1")
+    for name, db in (("snr_lo", snr_lo), ("snr_hi", snr_hi)):
+        _need(not math.isnan(db), f"{name} is NaN; an SNR bound must be a number of dB")
+    _need(snr_lo <= snr_hi, f"snr_lo={snr_lo} exceeds snr_hi={snr_hi}")
+    _need(math.isfinite(snr_hi - snr_lo), f"snr range {snr_lo}..{snr_hi} must have a finite width")
+
+
+def validate_config(cfg):
+    _need(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
+    _need(0 < cfg.lr < math.inf, f"lr must be finite and > 0, got {cfg.lr}")
+    _need(0 <= cfg.weight_decay < math.inf,
+          f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
+    _need(cfg.batch >= 1, f"batch must be >= 1, got {cfg.batch}")
+    _need(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
+    _need(0.0 <= cfg.beta <= 1.0, f"beta must be in [0, 1], got {cfg.beta}")
+    _need(0.0 <= cfg.epsilon < 1.0, f"epsilon must be in [0, 1), got {cfg.epsilon}")
+    _need(0.0 <= cfg.alpha < math.inf, f"alpha must be finite and >= 0, got {cfg.alpha}")
+    _need(cfg.dim >= 1 and cfg.heads >= 1 and cfg.layers >= 0, "model dimensions must be positive")
+    _need(cfg.mask_hidden >= 1, f"mask_hidden must be >= 1, got {cfg.mask_hidden}")
+    _need(cfg.dim % (2 * cfg.heads) == 0,
+          f"dim={cfg.dim} must be divisible by 2*heads={2 * cfg.heads} for the query/key split")
+    check_synth(cfg.train_per_class, cfg.test_per_class, cfg.train_subjects, cfg.test_subjects,
+                cfg.snr_lo, cfg.snr_hi)
+    return cfg
+
+
+def free_checked_config(values: dict):
+    """`validate_config(RunConfig(**check_value_types(values)))` as it ran when a
+    `RunConfig` was an unchecked record: the defaults updated with `values`."""
+    defaults = {name: f.default for name, f in _RUN_FIELDS.items()}
+    return validate_config(SimpleNamespace(**{**defaults, **check_value_types(values)}))

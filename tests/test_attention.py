@@ -20,7 +20,7 @@ from respden.attention import (
     patch_embed,
     swish_glu,
 )
-from respden.config import RunConfig, validate_config
+from respden.config import RunConfig
 from respden.errors import NumericError, ShapeError
 from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
@@ -139,6 +139,17 @@ class TestMhda:
         with pytest.raises(ShapeError, match="one entry per head"):
             MhdaParams(*(Tensor(rng.standard_normal((d, d))) for _ in range(4)),
                        Tensor(np.array([0.5])), heads)
+
+    def test_value_width_must_split_into_heads(self):
+        rng = np.random.default_rng(5)
+        wq, wk, wv, wo = (Tensor(rng.standard_normal(s)) for s in [(8, 8), (8, 8), (8, 6), (6, 8)])
+        with pytest.raises(ShapeError, match="value width 6 not divisible by heads=4"):
+            MhdaParams(wq, wk, wv, wo, Tensor(np.ones(4)), 4)
+
+    def test_token_width_must_match_wq_rows(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ShapeError, match=r"expected \(N, 8\) tokens"):
+            mhda(Tensor(rng.standard_normal((4, 6))), *identity_ln(6), make_attn(rng, 8, 2))
 
     def test_gradients_of_every_input(self):
         rng = np.random.default_rng(20)
@@ -454,14 +465,14 @@ class TestKernelMemory:
             tracemalloc.stop()
 
     def test_grad_mode_mhda_forward(self):
-        model = Model(validate_config(RunConfig()))
+        model = Model(RunConfig())
         block = model.backbone_params().blocks[0]
         x = Tensor(np.random.default_rng(80).standard_normal((N_TOKENS, model.cfg.dim)),
                    requires_grad=True)
         assert self.peak_kb(lambda: mhda(x, block.ln1_g, block.ln1_b, block.attn)) <= 900
 
     def test_no_grad_predict(self):
-        model = Model(validate_config(RunConfig()))
+        model = Model(RunConfig())
         spec = np.random.default_rng(81).standard_normal((249, 64)) - 5.0
         assert self.peak_kb(lambda: model.predict(spec)) <= 1300
 
@@ -498,7 +509,7 @@ class TestTapeBudget:
     # blocks), final layer norm 1; the heads and the hybrid loss are 1 more
     # for a training sample and none for a prediction
     def test_default_model_predict_is_11_nodes(self, node_counts):
-        cfg = validate_config(RunConfig())
+        cfg = RunConfig()
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.predict(np.random.default_rng(61).standard_normal((249, 64)))
         assert sum(node_counts.values()) == 11, dict(node_counts)
@@ -506,7 +517,7 @@ class TestTapeBudget:
         assert node_counts["mhda"] == node_counts["swish_glu"] == cfg.layers
 
     def test_default_model_sample_loss_is_12_nodes(self, node_counts):
-        cfg = validate_config(RunConfig())
+        cfg = RunConfig()
         model = Model(cfg, rng=seed_stream(0, "init"))
         model.sample_loss(np.random.default_rng(61).standard_normal((249, 64)), 2)
         assert sum(node_counts.values()) == 12, dict(node_counts)
@@ -591,6 +602,11 @@ class TestPatchEmbed:
             assert np.array_equal(fused_x.grad, chain_x.grad)
         else:
             assert fused_x.grad is None and chain_x.grad is None
+
+    @pytest.mark.parametrize("shape", [(249, 63), (257, 64)])
+    def test_misshaped_spectrogram_rejected(self, shape):
+        with pytest.raises(ShapeError, match="expected a spectrogram of at most 256 x 64"):
+            extract_patches(np.zeros(shape))
 
     def test_patchify_covers_grid_exactly_once(self):
         values = np.arange(249 * 64, dtype=np.float64).reshape(249, 64)

@@ -14,6 +14,7 @@ from respden.audio import (
     AudioClip,
     DEFAULT_SPEC_CONFIG,
     Label,
+    Spectrogram,
     TARGET_SAMPLES,
     band_centers_hz,
     fix_length,
@@ -416,6 +417,16 @@ class TestFullPipeline:
         # alive (2014 and 1912 KB)
         x = np.random.default_rng(13).uniform(-1, 1, int(rate * seconds))
         assert traced_peak_kb(preprocess, make_clip(x, rate=rate)) <= 1850
+
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_clip_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be positive"):
+            AudioClip(np.ones(10), rate, Label.NORMAL, "p1")
+
+    @pytest.mark.parametrize("shape", [(249,), (249, 63)])
+    def test_spectrogram_must_be_t_by_64(self, shape):
+        with pytest.raises(ShapeError, match="T x 64"):
+            Spectrogram(np.zeros(shape))
 
     def test_label_and_subject_survive_stages(self):
         clip = AudioClip(np.ones(1000) * 0.5, 32000, Label.WHEEZE, "p42")

@@ -19,7 +19,7 @@ from respden.checkpoint import (
     save_checkpoint,
 )
 from respden.cli import main
-from respden.config import RunConfig, validate_config
+from respden.config import RunConfig
 from respden.errors import (
     BadMagicError, CheckpointError, NumericError, ShapeError, TruncatedError, VersionError,
 )
@@ -32,7 +32,7 @@ from crafted_checkpoints import MALFORMED, block, container
 def small_cfg(**kw):
     base = dict(dim=32, heads=4, layers=1, mask_hidden=4, epochs=1)
     base.update(kw)
-    return validate_config(RunConfig(**base))
+    return RunConfig(**base)
 
 
 @pytest.fixture

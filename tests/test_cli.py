@@ -14,8 +14,10 @@ from respden.checkpoint import (
     checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint,
 )
 from respden.cli import _add_config_flags, main
-from respden.config import RunConfig, validate_config
+from respden.config import RunConfig
+from respden.errors import UsageError
 from respden.model import Model, seed_stream
+from respden.report import ablation_report, render_ablation_table
 from respden.train import evaluate_split, prepare_data
 from respden.wavio import MAX_SAMPLE_RATE, write_wav
 
@@ -122,7 +124,7 @@ class TestExitCodes:
                 "eval": ["eval", "--checkpoint", str(tmp_path / "ckpt.bin")],
                 "gradcheck": ["gradcheck"]}[command]
         if command == "eval":
-            cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+            cfg = RunConfig(dim=32, heads=4, layers=1, mask_hidden=4)
             save_checkpoint(checkpoint_from_model(Model(cfg), epoch=0), argv[-1])
         code, out, err = run([*argv, "--seed", "-1"], capsys)
         assert code == 2
@@ -173,7 +175,7 @@ class TestExitCodes:
         assert "magic" in err
 
     def test_non_finite_checkpoint_is_3(self, tmp_path, capsys):
-        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+        cfg = RunConfig(dim=32, heads=4, layers=1, mask_hidden=4)
         ckpt = checkpoint_from_model(Model(cfg), epoch=0)
         ckpt.params["pos"][0, 0] = np.nan
         path = tmp_path / "nan.bin"
@@ -185,7 +187,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault, message", [("misshaped", "'pos' has shape (3,)"),
                                                 ("missing", "missing parameter 'pos'")])
     def test_misshaped_or_missing_checkpoint_tensor_is_3(self, fault, message, tmp_path, capsys):
-        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4))
+        cfg = RunConfig(dim=32, heads=4, layers=1, mask_hidden=4)
         ckpt = checkpoint_from_model(Model(cfg), epoch=0)
         if fault == "misshaped":
             ckpt.params["pos"] = np.zeros(3)
@@ -207,8 +209,8 @@ class TestExitCodes:
         assert err.startswith("error:") and names in err
 
     def test_numeric_failure_in_eval_is_1(self, tmp_path, capsys):
-        cfg = validate_config(RunConfig(dim=32, heads=4, layers=1, mask_hidden=4,
-                                        train_per_class=1, test_per_class=1))
+        cfg = RunConfig(dim=32, heads=4, layers=1, mask_hidden=4,
+                        train_per_class=1, test_per_class=1)
         ckpt = checkpoint_from_model(Model(cfg), epoch=0)
         ckpt.params["aff.w1"][...] = 1e306  # finite, but the mask net overflows on any clip
         path = tmp_path / "huge.bin"
@@ -290,23 +292,57 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:") and wav.name in err and named in err
 
-    @pytest.mark.parametrize("fault", ["one_sample_cycle", "rate_above_max"])
+    @pytest.mark.parametrize("fault", ["one_sample_cycle", "rate_above_max", "flag_not_binary",
+                                       "split_line_malformed", "no_annotation_files",
+                                       "missing_from_split"])
     def test_malformed_dataset_is_3(self, fault, tmp_path, capsys):
         ds = tmp_path / "ds"
         code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
         assert code == 0
         wav = sorted(ds.glob("*.wav"))[0]
+        ann, split = wav.with_suffix(".txt"), ds / "split.txt"
+        named = [wav.name]
         if fault == "one_sample_cycle":  # 1 sample at 44.1 kHz resamples to none at 16 kHz
             write_wav(str(wav), np.zeros(44100), 44100)
-            wav.with_suffix(".txt").write_text("0.5\t0.50002\t0\t0\n")
-        else:
+            ann.write_text("0.5\t0.50002\t0\t0\n")
+            named.append("cycle 0")
+        elif fault == "rate_above_max":
             write_wav(str(wav), np.zeros(100), MAX_SAMPLE_RATE + 1)
+        elif fault == "flag_not_binary":
+            ann.write_text("0.0\t1.0\t2\t0\n")
+            named = [f"{ann}:1:", "flags must be 0 or 1"]
+        elif fault == "split_line_malformed":
+            split.write_text(split.read_text() + "extra\tvalidation\n")
+            named = ["split.txt:13:", "expected 'name<TAB>train|test'"]
+        elif fault == "no_annotation_files":
+            for path in ds.glob("*.txt"):
+                if path != split:
+                    path.unlink()
+            named = ["no annotation files"]
+        else:
+            lines = split.read_text().splitlines(keepends=True)
+            split.write_text("".join(line for line in lines if not line.startswith(wav.stem)))
+            named = [f"recording {wav.stem} missing from split file"]
         code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
                             "--out-dir", str(tmp_path / "run"), *TINY], capsys)
         assert code == 3
-        assert err.startswith("error:") and wav.name in err
-        if fault == "one_sample_cycle":
-            assert "cycle 0" in err
+        assert err.startswith("error:") and all(text in err for text in named), err
+
+    def test_empty_training_split_is_1(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        code, _, _ = run(["synth", "--out-dir", str(ds), *TINY], capsys)
+        assert code == 0
+        split = ds / "split.txt"
+        split.write_text(split.read_text().replace("\ttrain\n", "\ttest\n"))
+        code, _, err = run(["train", "--epochs", "1", "--dataset", str(ds),
+                            "--out-dir", str(tmp_path / "run"), *TINY], capsys)
+        assert code == 1
+        assert err == "error: training split is empty\n"
+
+    def test_empty_checkpoint_path_is_2(self, capsys):
+        code, _, err = run(["eval", "--checkpoint", ""], capsys)
+        assert code == 2
+        assert err == "error: eval requires --checkpoint\n"
 
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -353,7 +389,7 @@ class TestGradcheckCommand:
 
 class TestReportCommand:
     def _write_log(self, path, flags, sp, se, score):
-        cfg = validate_config(RunConfig(**flags)).snapshot()
+        cfg = RunConfig(**flags).snapshot()
         with open(path, "w") as fh:
             fh.write(json.dumps({"type": "header", "config": cfg}) + "\n")
             fh.write(json.dumps({"type": "epoch", "epoch": 0, "train_loss": 1.0,
@@ -396,7 +432,21 @@ class TestReportCommand:
         "flag_not_boolean": b'{"type": "header", "config": {"no_aff": "false"}}\n' + EPOCH,
         "metric_above_one": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": 5.0'),
         "metric_below_zero": HEADER + EPOCH.replace(b'"se": 0.5', b'"se": -0.5'),
+        "no_epoch_record": HEADER,
     }
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        log = tmp_path / "spaced.jsonl"
+        log.write_bytes(b"\n" + self.HEADER + b"  \n\n" + self.EPOCH + b"\t\n")
+        code, out, err = run(["report", str(log)], capsys)
+        assert code == 0, err
+        assert out.splitlines()[2].split() == ["full", "50.00", "50.00", "50.00"]
+
+    @pytest.mark.parametrize("render", [render_ablation_table, ablation_report],
+                             ids=lambda f: f.__name__)
+    def test_no_runs_is_a_usage_error(self, render):
+        with pytest.raises(UsageError, match="no runs|at least one"):
+            render([])
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_LOGS))
     def test_malformed_log_is_3(self, kind, tmp_path, capsys):

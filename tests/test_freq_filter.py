@@ -46,6 +46,11 @@ class TestMaskNet:
         spec = fft2(Tensor(np.zeros((4, 4))))
         np.testing.assert_array_equal(mask_net(spec, params).data, np.zeros((4, 4)))
 
+    def test_zero_hidden_width_rejected(self):
+        with pytest.raises(ValueError, match="hidden width"):
+            FilterParams(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)),
+                         Tensor(np.zeros((0, 1))), Tensor(np.zeros(1)))
+
     def test_mask_shape_matches_spectrum(self):
         rng = np.random.default_rng(0)
         spec = fft2(Tensor(rng.standard_normal((4, 4))))

@@ -77,6 +77,17 @@ def test_workload_runs_without_failed_operations(name, tmp_path):
     assert stats.failed == 0 and stats.attempted > 0
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_full_size_workload_builds(name, tmp_path):
+    # the benchmark's own size, constructors only: a config that RunConfig
+    # rejects when built fails here rather than inside a benchmark run
+    workloads.WORKLOADS[name](seed=0, minimal=False, workdir=str(tmp_path))
+
+
+def test_full_size_model_config_builds():
+    assert workloads.model_config(0, False) == RunConfig(seed=0, epochs=1)
+
+
 @pytest.mark.parametrize("name", ["train-synth", "eval-heldout"])
 def test_traced_graph_node_counts(name, tracer_module, tmp_path):
     # the self-test size at the default depth of 4 blocks: a scored clip is the

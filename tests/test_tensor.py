@@ -174,6 +174,15 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             soft_shrink(x, 0.0).backward()
 
+    def test_item_of_non_scalar_rejected(self):
+        with pytest.raises(ShapeError, match="single-element"):
+            Tensor([1.0, 2.0]).item()
+
+    def test_backward_of_a_constant_is_a_no_op(self):
+        x = Tensor([3.0])
+        x.backward()
+        assert x.grad is None and x._backward_fn is None
+
     def test_unreachable_parameter_keeps_zero_grad(self):
         used = Tensor([1.0, 2.0], requires_grad=True)
         unused = Tensor([3.0], requires_grad=True)

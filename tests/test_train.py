@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import respden.train  # noqa: F401  (module object; the package exports a same-named function)
-from respden.config import RunConfig, validate_config
+from respden.config import RunConfig
 
 train_mod = sys.modules["respden.train"]
 from respden.datasets import SynthConfig, build_synth
@@ -31,7 +31,7 @@ def tiny_cfg(**kw):
         train_subjects=2, test_subjects=1, seed=7,
     )
     base.update(kw)
-    return validate_config(RunConfig(**base))
+    return RunConfig(**base)
 
 
 def log_text(cfg, records) -> str:
@@ -279,9 +279,9 @@ class TestStreamedBatch:
 #: epoch's loss and a hash of every parameter's bytes
 _TRAIN_AND_HASH = """
 import hashlib, json
-from respden.config import RunConfig, validate_config
+from respden.config import RunConfig
 from respden.train import train
-result = train(validate_config(RunConfig(seed=3, epochs=2, train_per_class=4, test_per_class=2)))
+result = train(RunConfig(seed=3, epochs=2, train_per_class=4, test_per_class=2))
 digest = hashlib.sha256()
 for name, p in sorted(result.model.params.items()):
     digest.update(name.encode())
@@ -338,7 +338,7 @@ class TestChunkedEvaluation:
     @pytest.mark.parametrize("dims", [{}, MINIMAL_DIMS], ids=["default_dims", "minimal_dims"])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_stacked_logits_equal_per_clip_logits(self, tiny_data, variant, dims):
-        model = perturbed_model(validate_config(RunConfig(seed=7, **dims, **VARIANTS[variant])))
+        model = perturbed_model(RunConfig(seed=7, **dims, **VARIANTS[variant]))
         clips = tiny_data.features[:EVAL_CHUNK + 2]  # a ragged last chunk
         want = np.stack([model.logits(x) for x in clips])
         got = np.concatenate([model.logits(np.stack(clips[lo:lo + EVAL_CHUNK]))
@@ -382,7 +382,7 @@ class TestChunkedEvaluation:
     def test_chunk_memory(self, tiny_data):
         # measured 4.2 MB at a chunk of 4 clips (5.0 MB when the mask MLP built one
         # row table for the whole chunk instead of one clip's at a time)
-        model = Model(validate_config(RunConfig()))
+        model = Model(RunConfig())
         idx = list(range(8))
         evaluate_indices(model, tiny_data, idx)  # fill any lazy caches
         tracemalloc.start()
