@@ -25,11 +25,11 @@ and every malformed field raises a `CheckpointError`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ MAGIC = b"ADDN"
 VERSION = 1
 
 
-@dataclass
+@dataclasses.dataclass
 class Checkpoint:
     config: dict
     epoch: int
@@ -53,11 +53,16 @@ class Checkpoint:
     adam_step: int | None = None
 
     def run_config(self) -> RunConfig:
-        """The stored config; one that `RunConfig` rejects marks a corrupt file."""
+        """The stored config; one that `RunConfig` rejects marks a corrupt file. An older
+        file may store `no_bias_loss`: true loads as beta = 0, the loss its run trained with."""
+        no_bias_loss = self.config.get("no_bias_loss", False)
         try:
-            return RunConfig(**self.config)
+            if not isinstance(no_bias_loss, bool):
+                raise UsageError(f"config key 'no_bias_loss' must be of type bool, got {no_bias_loss!r}")
+            cfg = RunConfig(**{k: v for k, v in self.config.items() if k != "no_bias_loss"})
         except (TypeError, UsageError) as exc:
             raise CheckpointError(f"checkpoint holds an invalid config: {exc}") from exc
+        return dataclasses.replace(cfg, beta=0.0) if no_bias_loss else cfg
 
 
 def checkpoint_from_model(model: Model, epoch: int, adam: AdamState | None = None) -> Checkpoint:

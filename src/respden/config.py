@@ -23,6 +23,21 @@ def _need(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
+def _has_type(value, ftype: str) -> bool:
+    accepted = (int, float) if ftype == "float" else FIELD_TYPES[ftype]
+    # bool is an int subclass: only a bool field takes one
+    return isinstance(value, bool) == (ftype == "bool") and isinstance(value, accepted)
+
+
+def _check_types(cfg) -> None:
+    """`UsageError` naming the first field of `cfg` whose value is not of its type."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not (_has_type(value, f.type) if f.type in FIELD_TYPES else  # a pair of floats
+                isinstance(value, tuple) and len(value) == 2 and all(_has_type(v, "float") for v in value)):
+            raise UsageError(f"config key '{f.name}' must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """The synthetic corpus's shape; only one that `build_synth` can draw is built."""
@@ -33,8 +48,8 @@ class SynthConfig:
     snr_db: tuple[float, float] = (5.0, 20.0)
 
     def __post_init__(self):
-        _need(self.train_per_class >= 1,
-              f"train_per_class must be >= 1, got {self.train_per_class}")
+        _check_types(self)
+        _need(self.train_per_class >= 1, f"train_per_class must be >= 1, got {self.train_per_class}")
         _need(self.test_per_class >= 0, f"test_per_class must be >= 0, got {self.test_per_class}")
         _need(self.train_subjects >= 1 and self.test_subjects >= 1, "subject counts must be >= 1")
         snr_lo, snr_hi = self.snr_db
@@ -69,10 +84,9 @@ class RunConfig:
     epsilon: float = 0.2
     alpha: float = 0.02
 
-    # ablation toggles
+    # ablation toggles; beta = 0 switches off the bias-denoise loss
     no_aff: bool = False
     no_ddl: bool = False
-    no_bias_loss: bool = False
 
     # synthetic dataset shape
     train_per_class: int = SynthConfig.train_per_class
@@ -83,12 +97,7 @@ class RunConfig:
     snr_hi: float = SynthConfig.snr_db[1]
 
     def __post_init__(self):
-        for key, f in _FIELDS.items():
-            value = getattr(self, key)
-            accepted = (int, float) if f.type == "float" else FIELD_TYPES[f.type]
-            # bool is an int subclass: only a bool field takes one
-            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, accepted):
-                raise UsageError(f"config key '{key}' must be of type {f.type}, got {value!r}")
+        _check_types(self)
         _need(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _need(0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr}")
         _need(0 <= self.weight_decay < math.inf,

@@ -188,8 +188,7 @@ class Model:
         return backbone_forward(x, self.backbone_params())
 
     def sample_loss(self, spec, label: int) -> Tensor:
-        beta = 0.0 if self.cfg.no_bias_loss else self.cfg.beta
-        return total_loss(self.features(spec), label, beta, self.cfg.epsilon, self.head_params())
+        return total_loss(self.features(spec), label, self.cfg.beta, self.cfg.epsilon, self.head_params())
 
     def logits(self, spec) -> np.ndarray:
         """Prediction-head logits of one (T, F) spectrogram, or (B, C) for a (B, T, F) stack;

@@ -22,12 +22,14 @@ def format_triple(sp: float, se: float, score: float) -> str:
     return f"{truncate_pct(sp):.2f} / {truncate_pct(se):.2f} / {truncate_pct(score):.2f}"
 
 
+#: variant names; beta = 0 is `no_bias_loss`, which older logs also carry as a flag
 ABLATION_FLAGS = ("no_aff", "no_ddl", "no_bias_loss")
 
 
-def variant_name(flags: dict) -> str:
-    """'+'-joined names of the ablation flags that are true, or 'full'."""
-    on = [k for k in ABLATION_FLAGS if flags.get(k)]
+def variant_name(config: dict) -> str:
+    """'+'-joined names of the mechanisms a run config switches off, or 'full'."""
+    off = {**config, "no_bias_loss": config.get("no_bias_loss") or config.get("beta") == 0}
+    on = [k for k in ABLATION_FLAGS if off.get(k)]
     return "+".join(on) if on else "full"
 
 
@@ -39,8 +41,8 @@ def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
     """Return (header record, epoch records) from a line-delimited log.
 
     Every record must be a JSON object, a header's config an object whose
-    ablation flags are booleans, and each epoch record's sp, se and score
-    numbers in [0, 1]; unknown keys are ignored.
+    ablation flags are booleans and whose beta is a number, and each epoch
+    record's sp, se and score numbers in [0, 1]; unknown keys are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,9 +67,10 @@ def read_metrics_log(path: str) -> tuple[dict, list[dict]]:
             config = record.get("config", {})
             if not isinstance(config, dict):
                 raise DatasetError(f"{path}:{lineno}: the header's config must be a JSON object")
-            if not all(isinstance(config.get(k, False), bool) for k in ABLATION_FLAGS):
-                raise DatasetError(f"{path}:{lineno}: the ablation flags "
-                                   f"{', '.join(ABLATION_FLAGS)} must be JSON booleans")
+            if not (all(isinstance(config.get(k, False), bool) for k in ABLATION_FLAGS)
+                    and type(config.get("beta", 0)) in (int, float)):  # a JSON bool is an int
+                raise DatasetError(f"{path}:{lineno}: the ablation flags {', '.join(ABLATION_FLAGS)} "
+                                   "must be JSON booleans, and beta a JSON number")
             header = record
         elif record.get("type") == "epoch":
             if not all(_is_fraction(record.get(key)) for key in ("sp", "se", "score")):
@@ -102,6 +105,5 @@ def ablation_report(log_paths: list[str]) -> str:
     for path in log_paths:
         header, epochs = read_metrics_log(path)
         last = epochs[-1]
-        flags = header.get("config", {})
-        rows.append((variant_name(flags), last["sp"], last["se"], last["score"]))
+        rows.append((variant_name(header.get("config", {})), last["sp"], last["se"], last["score"]))
     return render_ablation_table(rows)

@@ -54,6 +54,8 @@ MALFORMED = {
     "float_for_int_key": (container(header({"heads": 2.0})), "heads"),
     "int_for_str_key": (container(header({"dataset": 5})), "dataset"),
     "str_for_bool_key": (container(header({"no_aff": "yes"})), "no_aff"),
+    # the ablation flag of files written before beta = 0 became the bias-loss ablation
+    "str_for_retired_bool_key": (container(header({"no_bias_loss": "yes"})), "no_bias_loss"),
     # a value of the right type that `RunConfig` rejects when built
     "config_out_of_range": (container(header({"batch": 0})), "batch must be >= 1"),
     "epoch_not_int": (container(b'{"config": {}, "epoch": "3", "adam_step": null}'),

@@ -26,7 +26,7 @@ from respden.errors import (
 from respden.model import Model
 from respden.optim import AdamState
 
-from crafted_checkpoints import MALFORMED, block, container
+from crafted_checkpoints import MALFORMED, block, container, header
 
 
 def small_cfg(**kw):
@@ -183,6 +183,22 @@ class TestCorruption:
         assert BadMagicError is not VersionError is not TruncatedError
         for exc in (BadMagicError, VersionError, TruncatedError):
             assert issubclass(exc, CheckpointError)
+
+
+class TestRetiredBiasLossKey:
+    """Files written while `no_bias_loss` was a config field load as the run they hold."""
+
+    @pytest.mark.parametrize("stored, beta", [(True, 0.0), (False, 0.5)])
+    def test_stored_flag_loads_as_beta(self, stored, beta, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(container(header({"beta": 0.5, "no_bias_loss": stored})))
+        assert load_checkpoint(str(path)).run_config() == RunConfig(beta=beta)
+
+    def test_stored_flag_keeps_the_stored_beta_checked(self, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(container(header({"beta": 2.0, "no_bias_loss": True})))
+        with pytest.raises(CheckpointError, match="beta must be in"):
+            load_checkpoint(str(path)).run_config()
 
 
 class TestBinding:

@@ -163,6 +163,12 @@ class TestExitCodes:
             main(["train", "--warp-speed", "9"])
         assert exc.value.code == 2
 
+    def test_retired_bias_loss_flag_is_2(self, capsys):
+        # beta = 0 is the bias-loss ablation
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--no-bias-loss"])
+        assert exc.value.code == 2
+
     def test_missing_checkpoint_is_3(self, capsys):
         code, _, err = run(["eval", "--checkpoint", "/no/such/file.bin"], capsys)
         assert code == 3
@@ -413,6 +419,17 @@ class TestReportCommand:
         assert any(line.startswith("full") for line in lines)
         assert any(line.startswith("no_aff") for line in lines)
 
+    def test_beta_zero_and_the_retired_flag_share_a_row(self, tmp_path, capsys):
+        new, old, both = tmp_path / "new.jsonl", tmp_path / "old.jsonl", tmp_path / "both.jsonl"
+        self._write_log(new, {"beta": 0.0}, 0.9, 0.5, 0.7)
+        old.write_bytes(b'{"type": "header", "config": {"beta": 0.5, "no_bias_loss": true}}\n'
+                        + self.EPOCH)
+        self._write_log(both, {"beta": 0.0, "no_aff": True}, 0.8, 0.4, 0.6)
+        code, out, _ = run(["report", str(new), str(old), str(both)], capsys)
+        assert code == 0
+        names = [line.split()[0] for line in out.splitlines()[2:]]
+        assert names == ["no_bias_loss", "no_bias_loss", "no_aff+no_bias_loss"]
+
     def test_missing_log_is_3(self, capsys):
         code, _, _ = run(["report", "/no/such.jsonl"], capsys)
         assert code == 3
@@ -430,6 +447,8 @@ class TestReportCommand:
         "not_utf8": HEADER + EPOCH + b"\xff\n",
         "nested_too_deep": HEADER + EPOCH + b"[" * 100_000 + b"\n",
         "flag_not_boolean": b'{"type": "header", "config": {"no_aff": "false"}}\n' + EPOCH,
+        "retired_flag_not_boolean": b'{"type": "header", "config": {"no_bias_loss": 1}}\n' + EPOCH,
+        "beta_not_number": b'{"type": "header", "config": {"beta": "0"}}\n' + EPOCH,
         "metric_above_one": HEADER + EPOCH.replace(b'"sp": 0.5', b'"sp": 5.0'),
         "metric_below_zero": HEADER + EPOCH.replace(b'"se": 0.5', b'"se": -0.5'),
         "no_epoch_record": HEADER,

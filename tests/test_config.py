@@ -29,7 +29,7 @@ class TestDefaults:
     def test_model_defaults(self):
         cfg = parse_config({})
         assert (cfg.dim, cfg.heads, cfg.layers, cfg.mask_hidden) == (96, 4, 4, 32)
-        assert not (cfg.no_aff or cfg.no_ddl or cfg.no_bias_loss)
+        assert not (cfg.no_aff or cfg.no_ddl)
 
 
 class TestValidation:
@@ -117,7 +117,7 @@ class TestFileGrammar:
             parse_config({}, str(path))
 
     @pytest.mark.parametrize("key", ["mode", "checkpoint", "aff_residual", "shared_lambda",
-                                     "bd_project_first"])
+                                     "bd_project_first", "no_bias_loss"])
     def test_retired_key_rejected(self, key, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = false\n")
@@ -230,6 +230,25 @@ class TestSelfChecking:
         cfg = RunConfig(train_per_class=3, test_per_class=0, train_subjects=2, test_subjects=1,
                         snr_lo=-2.5, snr_hi=7)
         assert cfg.synth() == SynthConfig(3, 0, 2, 1, (-2.5, 7))
+
+
+class TestSynthValueTypes:
+    """`SynthConfig` takes its fields' types as `RunConfig` does: an int count, and
+    `snr_db` as a 2-tuple of numbers, neither of them a bool."""
+
+    @pytest.mark.parametrize("values", [
+        {"train_per_class": 1.5}, {"train_per_class": True}, {"test_per_class": 0.0},
+        {"train_subjects": 2.0}, {"test_subjects": "1"}, {"snr_db": ("1", "2")},
+        {"snr_db": (5.0, 10.0, 20.0)}, {"snr_db": (5.0,)}, {"snr_db": (True, 20.0)},
+        {"snr_db": [5.0, 20.0]}, {"snr_db": 5.0}], ids=_ids)
+    def test_mismatched_type_names_the_field(self, values):
+        (key,) = values
+        with pytest.raises(UsageError, match=f"config key '{key}' must be of type"):
+            SynthConfig(**{"train_per_class": 1, "test_per_class": 0, **values})
+
+    @pytest.mark.parametrize("snr_db", [(5, 20), (-2.5, 7), (-1e307, 1e307)])
+    def test_snr_bounds_may_be_ints_or_floats(self, snr_db):
+        assert SynthConfig(snr_db=snr_db).snr_db == snr_db
 
 
 #: configs that once failed only deep inside a run, each with the text of its error now

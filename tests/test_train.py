@@ -72,9 +72,9 @@ class TestModel:
         assert not lam.requires_grad
         assert "block0.lam" not in model.trainable()
 
-    def test_no_bias_loss_reduces_to_ce(self):
+    def test_beta_zero_reduces_to_ce(self):
         cfg_on = tiny_cfg()
-        cfg_off = tiny_cfg(no_bias_loss=True)
+        cfg_off = tiny_cfg(beta=0.0)
         m_on = Model(cfg_on, rng=seed_stream(0, "init"))
         m_off = Model(cfg_off, rng=seed_stream(0, "init"))
         spec = np.random.default_rng(2).standard_normal((249, 64))
