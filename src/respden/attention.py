@@ -13,13 +13,17 @@ pullback plus the residual identity.
 * `mhda` normalizes the tokens, projects them once (`wq`, `wk`, `wv`),
   views the projections as head arrays, (H, 2, N, d) for queries and keys
   and (H, N, d_v) for values, and computes all 2H score maps with one
-  batched matmul scaled by 1/sqrt(d), one max-subtracted softmax over
-  (H, 2, N, N), the differential map a = m1 - lambda * m2, then a @ v with
-  the heads merged back to (N, H * d_v), times `wo`, plus the input. It
-  keeps the normalized tokens, head arrays, softmax maps, a and the merged
-  heads. q, k, v and the scores are checked for NaN/Inf as they are made.
-* `swish_glu` keeps n = LN(y), a = n @ w1, the sigmoid e^min(a, 0) / (1 + e^-|a|)
-  of a, n @ w2, the gate swish(a) and the gated product.
+  batched matmul scaled by 1/sqrt(d), one softmax over (H, 2, N, N), the
+  differential map a = m1 - lambda * m2, then a @ v with the heads merged
+  back to (N, H * d_v), times `wo`, plus the input. It keeps the
+  normalized tokens, head arrays, softmax maps, a and the merged heads.
+  The softmax is e^s times the reciprocal of its row sum. A clip whose
+  score bound sqrt(d) max|q| max|k| is within EXP_BOUND needs no more;
+  any other clip has its q, k and scores checked for NaN/Inf and its row
+  maxima subtracted first. v is always checked.
+* `swish_glu` keeps n = LN(y), a = n @ w1, the sigmoid 1 / (1 + e^-a) of a
+  (e^a / (1 + e^a) for an element below -EXP_BOUND), n @ w2, the gate
+  swish(a) and the gated product.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ N_TIME_PATCHES = -(-N_FRAMES // PATCH)  # 16
 N_FREQ_PATCHES = DEFAULT_SPEC_CONFIG.n_mels // PATCH  # 4
 N_TOKENS = N_TIME_PATCHES * N_FREQ_PATCHES  # 64
 PATCH_DIM = PATCH * PATCH  # 256
+#: |x| <= EXP_BOUND keeps e^x normal and N_TOKENS * e^x finite
+EXP_BOUND = 700.0
 
 
 @dataclass
@@ -91,8 +97,13 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     q = xn @ wq.data
     k = xn @ wk.data
     v = xn @ wv.data
-    _check_finite(q, "mhda query projection")
-    _check_finite(k, "mhda key projection")
+    # |score| <= sqrt(d) max|q| max|k| per clip: within EXP_BOUND (NaN fails) needs no shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = math.sqrt(d) * np.abs(q).max(axis=(-2, -1)) * np.abs(k).max(axis=(-2, -1))
+    slow = ~(bound <= EXP_BOUND)
+    if slow.any():
+        _check_finite(q[slow], "mhda query projection")
+        _check_finite(k[slow], "mhda key projection")
     _check_finite(v, "mhda value projection")
     # head arrays: (H, 2, N, d) for queries/keys, (H, N, d_v) for values
     qh = np.moveaxis(q.reshape(*lead, n, h, 2, d), -4, -2)
@@ -101,10 +112,13 @@ def _mhda(x: Tensor, ln_g: Tensor, ln_b: Tensor, params: MhdaParams) -> tuple[Te
     # the scores turn into both softmax maps in one buffer; the differential map takes a second
     m = qh @ kh.swapaxes(-1, -2)
     m *= scale
-    _check_finite(m, "mhda attention scores")
-    m -= np.fmax.reduce(m, axis=-1, keepdims=True)  # finite: no NaN to propagate
+    if slow.any():
+        shifted = m[slow]
+        _check_finite(shifted, "mhda attention scores")
+        shifted -= np.fmax.reduce(shifted, axis=-1, keepdims=True)  # finite: no NaN to propagate
+        m[slow] = shifted
     np.exp(m, out=m)
-    m /= m.sum(axis=-1, keepdims=True)
+    m *= np.reciprocal(m.sum(axis=-1, keepdims=True))
     lam_h = lam.data.reshape(-1, 1, 1)
     a = lam_h * m[..., 1, :, :]
     np.subtract(m[..., 0, :, :], a, out=a)
@@ -155,14 +169,18 @@ def swish_glu(y: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, w2: Tensor, w3:
     _check_clips(y, "swish_glu")
     n, nhat, inv = _ln_forward(y.data, ln_g.data, ln_b.data)
     a = n @ w1.data
-    # stable in both tails: 1/(1+e^-a) for a >= 0, e^a/(1+e^a) below, one division
-    ez = np.abs(a)
-    np.negative(ez, out=ez)
-    np.exp(ez, out=ez)
-    s = np.minimum(a, 0.0)
+    # 1/(1+e^-a), or e^a/(1+e^a) where e^-a would pass e^EXP_BOUND (a NaN clamps too)
+    s = np.negative(a)
+    tail = not a.min() >= -EXP_BOUND
+    if tail:
+        np.minimum(s, EXP_BOUND, out=s)
     np.exp(s, out=s)
-    ez += 1.0
-    s /= ez
+    s += 1.0
+    np.reciprocal(s, out=s)
+    if tail:
+        low = a < -EXP_BOUND
+        ez = np.exp(a[low])
+        s[low] = ez / (1.0 + ez)
     v = n @ w2.data
     gate = a * s
     h = gate * v

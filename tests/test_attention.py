@@ -1,12 +1,15 @@
 """Differential attention, blocks, patch embedding, backbone contracts."""
 
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import respden.attention as attention_module
 from respden.attention import (
+    EXP_BOUND,
     BackboneParams,
     BlockParams,
     MhdaParams,
@@ -20,17 +23,22 @@ from respden.attention import (
     patch_embed,
     swish_glu,
 )
+from respden.audio import AudioClip, Label, preprocess
+from respden.checkpoint import load_checkpoint, model_from_checkpoint
+from respden.cli import main
 from respden.config import RunConfig
+from respden.datasets import TARGET_RATE, synth_clip
 from respden.errors import NumericError, ShapeError
 from respden.freq_filter import FilterParams, filter_forward
 from respden.gradcheck import check_loss_gradients
 from respden.model import Model, seed_stream
-from respden.tensor import Tensor, layer_norm
+from respden.tensor import Tensor, layer_norm, no_grad
 
 from oracles import (
-    attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, mhda_direct,
+    attention_sublayer_chain, denoise_block_chain, ffn_sublayer_chain, gate_sigmoid, mhda_direct,
     mhda_sublayer_direct, patch_embed_chain, softmax_rows, swish_glu_direct,
 )
+from test_golden import RUN as GOLDEN_RUN
 
 
 def make_attn(rng, d, heads, lam_value=0.8, requires_grad=False):
@@ -53,6 +61,28 @@ def normed(x):
 def attention_of(x, params):
     """The attention term of the sublayer: its output minus the residual."""
     return mhda(Tensor(x), *identity_ln(x.shape[1]), params).data - x
+
+
+def score_bound(x, ln_g, ln_b, params):
+    """sqrt(d) max|q| max|k| of one clip's normalized tokens: the bound on its every score."""
+    with no_grad():
+        xn = layer_norm(Tensor(x), ln_g, ln_b).data
+    return math.sqrt(params.d_qk) * np.abs(xn @ params.wq.data).max() * np.abs(xn @ params.wk.data).max()
+
+
+def gate_of(values):
+    """The kernel's swish(a) = a * sigmoid(a), one output column per pre-activation a.
+
+    y = 0 and gamma = 0 make n the ones row (beta = 1); w1 row 0 then puts
+    each value exactly into one gate pre-activation, w2 makes n @ w2 = 1 and
+    w3 = I copies the gate to the output unchanged.
+    """
+    d = values.size
+    w1, w2 = np.zeros((d, d)), np.zeros((d, d))
+    w1[0], w2[0] = values, 1.0
+    with no_grad():
+        return swish_glu(Tensor(np.zeros((1, d))), Tensor(np.zeros(d)), Tensor(np.ones(d)),
+                         Tensor(w1), Tensor(w2), Tensor(np.eye(d))).data[0]
 
 
 def standard_attention(x, wq, wk, wv, wo, heads):
@@ -185,13 +215,50 @@ class TestMhda:
                            params.wo.data, lam, heads)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("which", ["wq", "wk", "wv"])
+    PROJECTION = {"wq": "mhda query projection", "wk": "mhda key projection",
+                  "wv": "mhda value projection"}
+
+    @pytest.mark.parametrize("which", list(PROJECTION))
     def test_huge_projection_raises(self, which):
         rng = np.random.default_rng(22)
         params = make_attn(rng, 8, 2)
         getattr(params, which).data[...] = 1e308
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=self.PROJECTION[which]):
             mhda(Tensor(rng.standard_normal((4, 8))), *identity_ln(8), params)
+
+    def test_overflowing_scores_raise(self):
+        # gamma = 0 and beta = 1 make every normalized token the ones row, so every
+        # q and k entry is 8 * 1.25e154 = 1e155: finite, but each q_i k_j term is inf
+        rng = np.random.default_rng(23)
+        params = make_attn(rng, 8, 2)
+        params.wq.data[...] = params.wk.data[...] = 1.25e154
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="mhda attention scores"):
+            mhda(Tensor(rng.standard_normal((4, 8))), Tensor(np.zeros(8)), Tensor(np.ones(8)), params)
+
+    def test_maps_and_gate_are_a_rounding_change_from_the_row_max_softmax(self):
+        # the tolerances sit at the worst cases measured: 7.8e-16 on the maps of 60
+        # random default-width blocks (weights of std 0.05-0.3, score bounds up to
+        # 475), 3 ulp on the gate over a 102,400-point sweep of -700..700
+        d, heads = RunConfig().dim, RunConfig().heads
+        for seed, w_scale in ((24, 0.1), (25, 0.3)):
+            rng = np.random.default_rng(seed)
+            params = MhdaParams(*(Tensor(rng.standard_normal((d, d)) * w_scale) for _ in range(4)),
+                                Tensor(np.full(heads, 0.5)), heads)
+            x = rng.standard_normal((N_TOKENS, d))
+            assert score_bound(x, *identity_ln(d), params) <= EXP_BOUND
+            _, maps = mhda_with_maps(Tensor(x), *identity_ln(d), params)
+            got = np.array([[m1.data, m2.data] for m1, m2 in maps])
+            # the kernel's own scores, through the row-max softmax with a division
+            q, k = normed(x) @ params.wq.data, normed(x) @ params.wk.data
+            qh = q.reshape(N_TOKENS, heads, 2, -1).transpose(1, 2, 0, 3)
+            kh = k.reshape(N_TOKENS, heads, 2, -1).transpose(1, 2, 0, 3)
+            scores = qh @ kh.swapaxes(-1, -2)
+            scores *= 1.0 / math.sqrt(params.d_qk)
+            np.testing.assert_allclose(got, softmax_rows(scores), rtol=0, atol=2.0**-50)
+        a = np.linspace(-EXP_BOUND, EXP_BOUND, 4000)
+        two_branch = a * (np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a))))
+        got = np.concatenate([gate_of(part) for part in np.split(a, 8)])
+        assert np.all(np.abs(got - two_branch) <= 3 * np.spacing(np.abs(two_branch)))
 
     def test_width_validation(self):
         rng = np.random.default_rng(6)
@@ -262,6 +329,23 @@ class TestSwishGlu:
         one = Tensor([[1.0]])
         out = swish_glu(one, Tensor([1.0]), Tensor([1.0]), one, one, one)
         np.testing.assert_allclose(out.data, [[1.0 + 1.0 / (1.0 + np.exp(-1.0))]], atol=1e-12)
+
+    def test_nan_next_to_a_tail_pre_activation_raises_without_overflow(self, monkeypatch):
+        # a BLAS may sum opposite infinities of an overflowing n @ w1 into NaN; a
+        # normalized row of NaN stands in for that. Row 1's pre-activation is
+        # -800, whose e^-a overflows (an error under pytest) unless the NaN also
+        # sends the gate down its tail branch
+        ln_forward = attention_module._ln_forward
+
+        def nan_row(x, gamma, beta):
+            n, nhat, inv = ln_forward(x, gamma, beta)
+            n[0] = np.nan
+            return n, nhat, inv
+
+        monkeypatch.setattr(attention_module, "_ln_forward", nan_row)
+        with pytest.raises(NumericError, match="swish_glu"):
+            swish_glu(Tensor(np.zeros((2, 1))), Tensor([0.0]), Tensor([1.0]),
+                      Tensor([[-800.0]]), Tensor([[1.0]]), Tensor([[1.0]]))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -395,8 +479,10 @@ class TestKernelsBitEqualToDirectArithmetic:
         rng = np.random.default_rng(70)
         # lambda = 0 is the no_ddl value; kept a leaf so its cotangent is compared too
         lam = np.zeros(cfg.heads) if lam_case == "lambda_zero" else None
-        # weights of std 0.1 keep the score rows away from one-hot saturation
-        params = random_block(rng, cfg.dim, cfg.heads, lam=lam, w_scale=0.1)
+        # weights of std 0.1 keep the score rows away from one-hot saturation; std 1
+        # puts the score bound over EXP_BOUND, so the softmax subtracts its row max
+        w_scale = 1.0 if lam_case == "over_bound" else 0.1
+        params = random_block(rng, cfg.dim, cfg.heads, lam=lam, w_scale=w_scale)
         x = Tensor(rng.standard_normal((N_TOKENS, cfg.dim)), requires_grad=True)
         return x, params, rng.standard_normal((N_TOKENS, cfg.dim))
 
@@ -408,9 +494,11 @@ class TestKernelsBitEqualToDirectArithmetic:
         for name, ref in zip(leaves, pullback(w), strict=True):
             assert np.array_equal(grads[name], ref), name
 
-    @pytest.mark.parametrize("lam_case", ["learned", "lambda_zero"])
+    @pytest.mark.parametrize("lam_case", ["learned", "lambda_zero", "over_bound"])
     def test_mhda(self, lam_case):
         x, p, w = self.setup_case(lam_case)
+        bound = score_bound(x.data, p.ln1_g, p.ln1_b, p.attn)
+        assert (bound > EXP_BOUND) == (lam_case == "over_bound"), bound
         leaves = {"x": x, **attention_leaves(p)}
         direct = mhda_sublayer_direct(*(t.data for t in leaves.values()), p.attn.heads)
         self.assert_bit_equal(lambda: mhda(x, p.ln1_g, p.ln1_b, p.attn), leaves, w, direct)
@@ -426,8 +514,9 @@ class TestKernelsBitEqualToDirectArithmetic:
     SIGN_EDGE = (0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0, 1e3, -1e3)
 
     @pytest.mark.parametrize("case", ["sign_edge", "random"])
-    def test_swish_glu_sigmoid_numerator(self, case):
-        # the kernel's numerator e^min(a, 0) against the oracle's np.where(a >= 0, 1, e^-|a|)
+    def test_swish_glu_sigmoid_per_element(self, case):
+        # the kernel's 1/(1+e^-a), with e^a/(1+e^a) below -EXP_BOUND, against the
+        # oracle's `gate_sigmoid`, which picks the branch with np.where
         rng = np.random.default_rng(71)
         d = 16
         ln_g, w1 = rng.standard_normal(d), rng.standard_normal((d, 2 * d)) * 3
@@ -444,11 +533,93 @@ class TestKernelsBitEqualToDirectArithmetic:
         self.assert_bit_equal(lambda: swish_glu(*leaves.values()), leaves,
                               rng.standard_normal((8, d)), direct)
         if case == "sign_edge":
-            # a matmul sums from +0.0, so no pre-activation is -0.0; the
-            # numerator's identity is checked there on the value itself
-            a = np.array(self.SIGN_EDGE)
-            assert np.array_equal(np.exp(np.minimum(a, 0.0)).view(np.int64),
-                                  np.where(a >= 0, 1.0, np.exp(-np.abs(a))).view(np.int64))
+            # each gate element's bits depend on its own pre-activation alone: taking
+            # the tail values out of the row leaves every other element's bits
+            a = np.concatenate((self.SIGN_EDGE, rng.standard_normal(22) * 400))
+            tail = a < -EXP_BOUND
+            assert 0 < tail.sum() < a.size
+            got = gate_of(a)
+            assert np.array_equal(got, a * gate_sigmoid(a))
+            assert np.array_equal(gate_of(np.where(tail, 0.0, a))[~tail], got[~tail])
+
+
+class TestExpBound:
+    """Each clip proves its exps safe on its own: a score bound sqrt(d) max|q| max|k|
+    within EXP_BOUND lets its softmax skip the row-max shift, and a gate
+    pre-activation a >= -EXP_BOUND takes 1/(1+e^-a). So a stack's clips keep their
+    own bits, and the default model, at init and trained, takes neither fallback."""
+
+    @staticmethod
+    def record_fallbacks(monkeypatch):
+        """Softmaxes that subtract their row max (they scan their scores for NaN/Inf)
+        and the least pre-activation of every gate, to the end of the test."""
+        seen = {"shifted": 0, "gate_min": []}
+        check, glu = attention_module._check_finite, attention_module.swish_glu
+
+        def counting(arr, what):
+            seen["shifted"] += what == "mhda attention scores"
+            check(arr, what)
+
+        def recording(y, ln_g, ln_b, w1, w2, w3):
+            seen["gate_min"].append((layer_norm(y, ln_g, ln_b).data @ w1.data).min())
+            return glu(y, ln_g, ln_b, w1, w2, w3)
+
+        monkeypatch.setattr(attention_module, "_check_finite", counting)
+        monkeypatch.setattr(attention_module, "swish_glu", recording)
+        return seen
+
+    def test_mhda_stack_with_one_clip_over_the_bound(self, monkeypatch):
+        cfg = RunConfig()
+        rng = np.random.default_rng(90)
+        params = MhdaParams(*(Tensor(rng.standard_normal((cfg.dim, cfg.dim)) * 0.1)
+                              for _ in range(4)), Tensor(np.full(cfg.heads, 0.8)), cfg.heads)
+        params.wq.data[0] *= 10
+        params.wk.data[0] *= 10
+        x = rng.standard_normal((2, N_TOKENS, cfg.dim))
+        x[1, :, 0] += 300  # clip 1's normalized tokens are about sqrt(dim) in column 0
+        ln = identity_ln(cfg.dim)
+        assert score_bound(x[0], *ln, params) < EXP_BOUND < score_bound(x[1], *ln, params)
+        seen = self.record_fallbacks(monkeypatch)
+        with no_grad():
+            stacked = mhda(Tensor(x), *ln, params).data
+            for i in range(2):
+                assert np.array_equal(stacked[i], mhda(Tensor(x[i]), *ln, params).data), i
+        assert seen["shifted"] == 2  # clip 1, in the stack and alone
+
+    def test_swish_glu_stack_with_one_clip_in_the_tail(self):
+        rng = np.random.default_rng(91)
+        d = 8
+        w1 = rng.standard_normal((d, 2 * d))
+        w1[0, 0] = -300.0
+        y = rng.standard_normal((2, 5, d))
+        y[1, 2, 0] += 50  # token 2 of clip 1 normalizes to about sqrt(d - 1) in column 0
+        ln = identity_ln(d)
+        with no_grad():
+            least = [(layer_norm(Tensor(clip), *ln).data @ w1).min() for clip in y]
+        assert least[0] >= -EXP_BOUND > least[1]
+        args = (*ln, Tensor(w1), Tensor(rng.standard_normal((d, 2 * d))),
+                Tensor(rng.standard_normal((2 * d, d))))
+        with no_grad():
+            stacked = swish_glu(Tensor(y), *args).data
+            for i in range(2):
+                assert np.array_equal(stacked[i], swish_glu(Tensor(y[i]), *args).data), i
+
+    def assert_no_fallback(self, model, monkeypatch):
+        clip = synth_clip(np.random.default_rng(80), Label.BOTH, (5.0, 10.0))
+        spec = preprocess(AudioClip(clip, TARGET_RATE, Label.BOTH, "s")).values
+        seen = self.record_fallbacks(monkeypatch)
+        model.logits(spec)
+        assert seen["shifted"] == 0
+        assert len(seen["gate_min"]) == model.cfg.layers
+        assert min(seen["gate_min"]) >= -EXP_BOUND
+
+    def test_default_model_takes_no_fallback(self, monkeypatch):
+        self.assert_no_fallback(Model(RunConfig()), monkeypatch)
+
+    def test_golden_full_checkpoint_takes_no_fallback(self, monkeypatch, tmp_path):
+        assert main(["train", *GOLDEN_RUN, "--out-dir", str(tmp_path)]) == 0
+        model = model_from_checkpoint(load_checkpoint(str(tmp_path / "checkpoint.bin")))
+        self.assert_no_fallback(model, monkeypatch)
 
 
 class TestKernelMemory:

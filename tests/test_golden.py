@@ -30,19 +30,19 @@ RUN = ["--seed", "3", "--epochs", "2", "--batch", "4",
 #: variant -> its flags and its (parameters, epoch records, eval stdout) sha256
 GOLDEN = {
     "full": ([], (
-        "3affbbdd0cbfcdc1a09c1430b7d16b581b089858baf7052710ffd704a41809c1",
+        "fe36acee42d1af2ac5b18d4c21ee0cf2526ce7374831970538b3e6133f2236a5",
         "74212fe9ce6883c4eba888955c58c4d1806f5e54084f1acf08523dc05a60f5f5",
         "51b1d6e988ec61b4a930f2579352acd76677843ab8040193ec2cc66ef9ba0626")),
     "no_aff": (["--no-aff"], (
-        "6de7c3613b6279d615508f34af5b55177672d8cb3a104b7846d5a59cb9df11a0",
+        "51626ec56e5b4c716e116fbae800acc0c1a801dab29af4bd73bf4fc7f0351c5c",
         "6e4c3b0578e01e37bed3bd08421d0a78a18c72bbaed233d233d777107071bd08",
         "51b1d6e988ec61b4a930f2579352acd76677843ab8040193ec2cc66ef9ba0626")),
     "no_ddl": (["--no-ddl"], (
-        "f3016eb7e7e1a7ffff6247e61167c2eba5063a843008e04a65333e9341ceaa81",
+        "04f8b2a5ecb9cf4c9bda8f4e6892f4cfafc3e0a7f5f6488f5739c298f38d0f63",
         "f2e7015a675b5daecf28522270a8e24e04b0243e05f6d9f58fe3d132015ee78a",
         "7afbb3f955acf7058a34c6041c7b468f011f74f8964fc26eb15f1bf66f200bf6")),
     "beta0": (["--beta", "0"], (
-        "1c560bad72410b3df5c46dfdef75151f684f19907a4a38fc66e29d15fd92cf26",
+        "533e5f39d8be2c5aea0c2c7f34ef183e72b37390e6f73a0714f56178137deff4",
         "2800d4d9114a7093891502b8de432256c81ff37526e5bc98433898499a5b6dce",
         "51b1d6e988ec61b4a930f2579352acd76677843ab8040193ec2cc66ef9ba0626")),
 }

@@ -88,6 +88,15 @@ def test_full_size_model_config_builds():
     assert workloads.model_config(0, False) == RunConfig(seed=0, epochs=1)
 
 
+def test_reference_gates_pass(tmp_path):
+    # the gates each workload checks after its timed loop, against reference.json
+    # at the benchmark's own tolerances: step losses, held-out logits, WAV features
+    assert workloads.check_reference("train", workloads.golden_train(), workloads.LOSS_RTOL) == []
+    assert workloads.check_reference("eval", workloads.golden_eval(), workloads.LOGIT_RTOL) == []
+    assert workloads.check_reference("ingest", workloads.golden_ingest(str(tmp_path)),
+                                     workloads.FEATURE_RTOL) == []
+
+
 @pytest.mark.parametrize("name", ["train-synth", "eval-heldout"])
 def test_traced_graph_node_counts(name, tracer_module, tmp_path):
     # the self-test size at the default depth of 4 blocks: a scored clip is the
