@@ -11,19 +11,28 @@ mask even and the inverse real by construction.
 
 `filter_forward` is one tape node with a hand-derived backward onto its four
 parameters. The filter masks data, so x never requires grad and the node
-has no pullback onto it; a differentiable x is refused. The MLP builds one
-clip's (2n, 3) feature table at a time, rows (re, +-im, 1) with the 1
-carrying the first bias, so a no-grad stack holds one clip's table (394 KB
-at the default dims), and walks it in `MASK_BLOCK`-row blocks through one
-hidden buffer. A node on the tape keeps the hidden layer's rectifier
-pattern, one byte per row and unit (2n x hidden: 526 KB at the default
-dims), and its backward takes the weight cotangents from it without
-recomputing the hidden layer. The node keeps no feature table: the backward
-rebuilds the rows times their cotangents from the spectrum. A bound
-max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| below 1e300 proves every
-hidden pre-activation finite; otherwise (NaN and inf included) each block's
-is checked for NaN/Inf. The mask and the output are checked too, so an
-overflow anywhere raises `NumericError`.
+has no pullback onto it; a differentiable x is refused.
+
+Most bins never reach the MLP. With r_i = max_j |w1[i,j]| / |b1_j|, a bin
+with |re| r0 + |im| r1 < 1 is certified: every hidden pre-activation of the
+bin and of its partner has its bias's sign, so unit j is on exactly when
+b1_j > 0, the MLP is affine there and the pair mean is alpha re + beta in
+closed form (the im term cancels). A zero, NaN or infinite b1 or w1 fails
+the bound. At init 99.6-99.9 % of a synth clip's 8217 bins are certified,
+and 87-97 % after a default 50-epoch run.
+
+Only the other, kinked, bins run the MLP. It builds one clip's (2k, 3)
+table of their rows (re, +-im, 1), the 1 carrying the first bias, and walks
+it in `MASK_BLOCK`-row blocks through one hidden buffer. A node on the tape
+keeps the kinked rows' rectifier pattern, one byte per row and unit
+(2k x hidden), and its backward takes their weight cotangents from it
+without recomputing the hidden layer; the certified bins add theirs in
+closed form. The node keeps no feature table: the backward rebuilds the
+rows times their cotangents from the spectrum. A bound
+max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| over a clip's kinked
+rows below 1e300 proves their hidden pre-activations finite; otherwise
+(NaN and inf included) each block's is checked for NaN/Inf. The mask and
+the output are checked too, so an overflow anywhere raises `NumericError`.
 
 Its forward runs six stages, `fft2`, `mask_net`, `symmetrize`, `soft_shrink`,
 `scale_complex` and `ifft2`, looked up by name at call time so that a tracer
@@ -82,24 +91,61 @@ def _mask_table(feats: np.ndarray, w1b: np.ndarray, w2: np.ndarray, raw: np.ndar
         np.matmul(h, w2[:, 0], out=raw[blk])
 
 
+def _certified(re: np.ndarray, im: np.ndarray, w1b: np.ndarray) -> np.ndarray:
+    """The bins whose hidden pre-activations all provably have their bias's sign.
+
+    |re w1[0,j] + im w1[1,j]| <= (|re| r0 + |im| r1) |b1_j| with
+    r_i = max_j |w1[i,j]| / |b1_j|, so |re| r0 + |im| r1 < 1 fixes every
+    rectifier of the bin and of its partner (re, -im). A zero or non-finite
+    b1_j, or a non-finite w1, makes the bound NaN or inf and fails it.
+    """
+    b1 = np.where(np.isfinite(w1b[2]), np.abs(w1b[2]), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0, r1 = (np.abs(w1b[:2]) / b1).max(1)
+        return np.abs(re) * r0 + np.abs(im) * r1 < 1.0
+
+
 def mask_net(re: np.ndarray, im: np.ndarray, w1b: np.ndarray, w2: np.ndarray,
-             on: np.ndarray | None = None) -> np.ndarray:
-    """Stage 2: `_mask_table` over each clip's rows (re, im, 1), (re, -im, 1) in turn,
-    shaped (..., 2, T, V); a given bool `on`, for one clip, gets hidden > 0."""
-    raw = np.empty((*re.shape[:-2], 2, *re.shape[-2:]))
-    # max |re|, |im|, |w1[0]|, |w1[1]|, |b1| as Python floats: their products overflow quietly
-    peak = [float(np.abs(a).max()) for a in (re, im, *w1b)]
-    check = not peak[0] * peak[2] + peak[1] * peak[3] + peak[4] < 1e300
-    for i in np.ndindex(*re.shape[:-2]):
-        _mask_table(_rows(re[i], im[i], 1.0), w1b, w2, raw[i].reshape(-1), on, check)
-    return raw
+             keep: bool = False):
+    """Stage 2: the MLP outputs of each bin and its partner, without b2, as (lin, kinked, raw, on).
+
+    On a certified bin (`_certified`) unit j is on exactly when b1_j > 0,
+    so the pair mean is alpha re + beta, with (alpha, beta) the sum of
+    (w1[0,j], b1_j) w2_j over those units; `lin`, shaped like re, holds it
+    for every bin. `kinked` lists the other bins' flat indices over the
+    stack, and `raw` (2, len(kinked)) the `_mask_table` outputs of their
+    rows (re, im, 1) and of their partners' (re, -im, 1), built one clip's
+    table at a time. With `keep`, for one clip, `on` is those rows'
+    rectifier pattern, else None.
+    """
+    units = w1b[2] > 0
+    alpha, _, beta = w1b[:, units] @ w2[units, 0]
+    lin = re * alpha + beta
+    kinked = np.flatnonzero(~_certified(re, im, w1b))
+    re_k, im_k = re.reshape(-1)[kinked], im.reshape(-1)[kinked]
+    raw = np.empty((2, len(kinked)))
+    on = np.empty((2 * len(kinked), w1b.shape[1]), bool) if keep else None
+    # max |w1[0]|, |w1[1]|, |b1| as Python floats: their products overflow quietly
+    w_peak = [float(np.abs(w).max()) for w in w1b]
+    clips = np.searchsorted(kinked, range(0, re.size + 1, re.shape[-2] * re.shape[-1]))
+    for lo, hi in zip(clips[:-1], clips[1:]):
+        if lo == hi:
+            continue
+        bound = (float(np.abs(re_k[lo:hi]).max()) * w_peak[0]
+                 + float(np.abs(im_k[lo:hi]).max()) * w_peak[1] + w_peak[2])
+        table = np.empty(2 * (hi - lo))
+        _mask_table(_rows(re_k[lo:hi], im_k[lo:hi], 1.0), w1b, w2, table, on, not bound < 1e300)
+        raw[:, lo:hi] = table.reshape(2, -1)
+    return lin, kinked, raw, on
 
 
-def symmetrize(raw: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Stage 3: the mean of each bin's and its partner's MLP output, plus b2."""
-    g = 0.5 * (raw[..., 0, :, :] + raw[..., 1, :, :]) + b2
-    _check_finite(g, "mask_net output")
-    return g
+def symmetrize(lin: np.ndarray, kinked: np.ndarray, raw: np.ndarray,
+               b2: np.ndarray) -> np.ndarray:
+    """Stage 3: into `lin`, each kinked bin's and its partner's mean MLP output, then b2."""
+    np.put(lin, kinked, 0.5 * (raw[0] + raw[1]))
+    lin += b2
+    _check_finite(lin, "mask_net output")
+    return lin
 
 
 def soft_shrink(g: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,16 +164,18 @@ def ifft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.irfft2(spec, s=shape)
 
 
-def _pattern_pullback(fg: np.ndarray, w1b: np.ndarray, w2: np.ndarray, on: np.ndarray):
-    """Cotangents (d_w1b, d_w2) of `mask_net` from its rectifier pattern `on`.
+def _pattern_pullback(fg: np.ndarray, w1b: np.ndarray, w2: np.ndarray, on: np.ndarray,
+                      m=0.0):
+    """Cotangents (d_w1b, d_w2) of the mask MLP from its rectifier pattern `on`.
 
     fg holds each row's features times the row's cotangent g. The hidden
     cotangent is g * w2 * on (relu's subgradient is 0 at the kink), so with
-    M = fg^T on, summed over the forward's blocks, d_w1b = M * w2^T. Since
-    h = on * (feats @ w1b), d_w2 = h^T g is the column sum of w1b * M.
+    M = m + fg^T on, summed over the forward's blocks, d_w1b = M * w2^T,
+    where a 3 x hidden `m` carries rows whose pattern is known without `on`.
+    Since h = on * (feats @ w1b), d_w2 = h^T g is the column sum of w1b * M.
     """
-    m = sum(fg[lo:lo + MASK_BLOCK].T @ on[lo:lo + MASK_BLOCK]
-            for lo in range(0, len(fg), MASK_BLOCK))
+    m = sum((fg[lo:lo + MASK_BLOCK].T @ on[lo:lo + MASK_BLOCK]
+             for lo in range(0, len(fg), MASK_BLOCK)), m)
     return m * w2[:, 0], (w1b * m).sum(0).reshape(-1, 1)
 
 
@@ -165,9 +213,9 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     t, f = x.shape[-2:]
     spec = fft2(x.data)
-    # the backward's rectifier pattern, kept only for a node on the tape (one clip's spectrum)
-    on = np.empty((2 * spec.size, w1b.shape[1]), bool) if _taped(parents) else None
-    g = symmetrize(mask_net(spec.real, spec.imag, w1b, w2, on=on), params.b2.data)
+    # the kinked rows' rectifier pattern, kept only for a node on the tape (one clip's spectrum)
+    lin, kinked, raw, on = mask_net(spec.real, spec.imag, w1b, w2, keep=_taped(parents))
+    g = symmetrize(lin, kinked, raw, params.b2.data)
     m, live = soft_shrink(g, params.alpha)
     out = ifft2(scale_complex(m, spec), (t, f))
 
@@ -175,8 +223,14 @@ def filter_forward(x: Tensor, params: FilterParams) -> Tensor:
         d_spec = np.fft.rfft2(gy)
         d_spec *= _column_weights(f) / (t * f)
         d_g = (d_spec.real * spec.real + d_spec.imag * spec.imag) * live
-        hg = 0.5 * d_g  # each row's cotangent: a bin and its partner share d_g
-        d_w1b, d_w2 = _pattern_pullback(_rows(spec.real * hg, spec.imag * hg, hg), w1b, w2, on)
+        # a certified bin's two rows have the pattern b1 > 0 and sum to (re, 0, 1) d_g
+        d_cert = d_g.copy()
+        np.put(d_cert, kinked, 0.0)
+        m_cert = np.outer(((spec.real * d_cert).sum(), 0.0, d_cert.sum()), w1b[2] > 0)
+        hg = 0.5 * d_g.reshape(-1)[kinked]  # each row's cotangent: a bin and its partner share d_g
+        spec_k = spec.reshape(-1)[kinked]
+        d_w1b, d_w2 = _pattern_pullback(_rows(spec_k.real * hg, spec_k.imag * hg, hg),
+                                        w1b, w2, on, m_cert)
         return d_w1b[:2], d_w1b[2], d_w2, np.full(1, d_g.sum())
 
     return Tensor._from_op(out, parents, backward, "filter_forward")

@@ -203,6 +203,18 @@ def per_op_suite(seed: int = 0) -> list[CheckRow]:
     x_odd = Tensor(rng.standard_normal((7, 5)))
     check("freq_filter.odd_f", lambda: filter_forward(x_odd, fp), filter_params,
           _weights((7, 5), 17), tol=MODEL_TOL)
+    # a plane wave holding 20 + 20i at half-plane bin (1, 1) and ~0 elsewhere: the
+    # bound certifies every bin but that one, whose units read re, im or both, at
+    # pre-activations of +-0.5 or 1.5; two are on for one row of the pair and off
+    # for the other, so the MLP path's backward is probed too
+    t_k, f_k = np.ogrid[:6, :8]
+    x_kink = Tensor(20 * np.sqrt(2) / 24 * np.cos(2 * np.pi * (t_k / 6 + f_k / 8) + np.pi / 4))
+    kw1 = Tensor(0.05 * np.sign(_weights((2, 3), 18)) * [[0, 1, 1], [1, 0, 1]], requires_grad=True)
+    kb1 = Tensor([0.5, 0.5, -0.5], requires_grad=True)
+    kw2 = Tensor(0.3 * _weights((3, 1), 19), requires_grad=True)
+    kb2 = Tensor(np.ones(1), requires_grad=True)
+    check("freq_filter.kinked", lambda: filter_forward(x_kink, FilterParams(kw1, kb1, kw2, kb2)),
+          {"w1": kw1, "b1": kb1, "w2": kw2, "b2": kb2}, _weights((6, 8), 20), tol=MODEL_TOL)
 
     # both heads and the hybrid loss; beta = 0 leaves the plain cross-entropy
     p_feat = Tensor(rng.standard_normal((5, d_model)), requires_grad=True)

@@ -7,6 +7,8 @@ import pytest
 
 import respden.freq_filter as freq_filter_module
 from respden.audio import AudioClip, Label, preprocess
+from respden.checkpoint import load_checkpoint, model_from_checkpoint
+from respden.cli import main
 from respden.config import RunConfig
 from respden.datasets import TARGET_RATE, synth_clip
 from respden.errors import NumericError, ShapeError
@@ -19,6 +21,7 @@ from oracles import (
     fft2, filter_direct, ifft2, mask_net, pointwise_mask_mlp, pointwise_mask_mlp_grads,
     reference_filter, scale_complex, soft_shrink, symmetrize,
 )
+from test_golden import RUN as GOLDEN_RUN
 
 
 def random_params(rng, hidden=6, alpha=0.02, scale=0.05, requires_grad=False):
@@ -251,6 +254,38 @@ def outputs_and_gradients(fn, x, params, weights):
 NAMES = ("out", "w1", "b1", "w2", "b2")
 
 
+def assert_matches_reference(x, params, weights):
+    """The filter's output and four gradients agree with `reference_filter`'s to 1e-10."""
+    got = outputs_and_gradients(filter_forward, x, params, weights)
+    want = outputs_and_gradients(reference_filter, x, params, weights)
+    for name, g, w in zip(NAMES, got, want):
+        # an all-zero reference gradient must be matched exactly
+        assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+
+def synth_log_mel(seed: int = 80, label: Label = Label.BOTH) -> np.ndarray:
+    """The log-mel spectrogram of a synth cycle at 5-10 dB."""
+    clip = synth_clip(np.random.default_rng(seed), label, (5.0, 10.0))
+    return preprocess(AudioClip(clip, TARGET_RATE, label, "s")).values
+
+
+def mixed_case():
+    """A synth log-mel clip and default-init AFF parameters with w1 scaled by 30, so
+    that the bound certifies the bins of |re|, |im| below about 60 and leaves the rest
+    kinked, and unit 0 has b1 = -0.5, so it is off on every certified bin."""
+    params = Model(RunConfig()).filter_params()
+    params.w1.data[...] *= 30
+    params.b1.data[0] = -0.5
+    return synth_log_mel(), params
+
+
+def certified_by_bound(spec: np.ndarray, params) -> np.ndarray:
+    """|re| r0 + |im| r1 < 1 per bin, with r_i = max_j |w1[i, j]| / |b1_j|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0, r1 = (np.abs(params.w1.data) / np.abs(params.b1.data)).max(1)
+        return np.abs(spec.real) * r0 + np.abs(spec.imag) * r1 < 1
+
+
 class TestFusedMatchesReference:
     """The one-node half-spectrum filter against the six-node full-plane chain."""
 
@@ -270,19 +305,12 @@ class TestFusedMatchesReference:
         params.alpha = float(0.5 * (mags[len(mags) // 2 - 1] + mags[len(mags) // 2]))
         return params
 
-    def assert_match(self, x, params, weights):
-        got = outputs_and_gradients(filter_forward, x, params, weights)
-        want = outputs_and_gradients(reference_filter, x, params, weights)
-        for name, g, w in zip(NAMES, got, want):
-            # an all-zero reference gradient must be matched exactly
-            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
-
     @pytest.mark.parametrize("shape", [(249, 64), (249, 63), (6, 8), (9, 5), (5, 6), (7, 7)])
     def test_output_and_five_gradients(self, shape):
         # compares the output and the four parameter gradients (NAMES)
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
-        self.assert_match(x, self.generic_params(rng, x), rng.standard_normal(shape))
+        assert_matches_reference(x, self.generic_params(rng, x), rng.standard_normal(shape))
 
     @pytest.mark.parametrize("shape", [(8, 6), (9, 6), (9, 7)])
     def test_self_conjugate_lines_alone(self, shape):
@@ -301,7 +329,7 @@ class TestFusedMatchesReference:
 
         x, weights = on_support(), on_support()
         assert np.allclose(np.fft.fft2(x)[~support], 0.0, atol=1e-12)
-        self.assert_match(x, self.generic_params(rng, x), weights)
+        assert_matches_reference(x, self.generic_params(rng, x), weights)
 
     def test_dead_zone_mask(self):
         # the raw mask 0.01 lies inside |m| <= alpha everywhere: the output
@@ -324,7 +352,7 @@ class TestFusedMatchesReference:
         params = rigged_params(bias_out=1.02, alpha=0.02)
         got = outputs_and_gradients(filter_forward, x, params, weights)
         assert np.abs(got[0] - x).max() <= 1e-12
-        self.assert_match(x, params, weights)
+        assert_matches_reference(x, params, weights)
 
     def test_hidden_overflow_raises_numeric_error(self):
         rng = np.random.default_rng(33)
@@ -350,8 +378,9 @@ class TestFusedMatchesReference:
 
 
 class TestHiddenLayerBound:
-    """The mask MLP scans its hidden layer per block only when the magnitude
-    bound max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| is not below 1e300."""
+    """The mask MLP scans its hidden layer per block only when the magnitude bound
+    max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| over a clip's kinked rows is
+    not below 1e300."""
 
     @staticmethod
     def count_hidden_checks(monkeypatch) -> list[int]:
@@ -369,9 +398,7 @@ class TestHiddenLayerBound:
     @staticmethod
     def default_case():
         """Default-init AFF parameters and the log-mel spectrogram of a synth cycle."""
-        clip = synth_clip(np.random.default_rng(80), Label.BOTH, (5.0, 10.0))
-        spec = preprocess(AudioClip(clip, TARGET_RATE, Label.BOTH, "s")).values
-        return Tensor(spec), Model(RunConfig()).filter_params()
+        return Tensor(synth_log_mel()), Model(RunConfig()).filter_params()
 
     def test_default_model_scans_no_block(self, monkeypatch):
         x, params = self.default_case()
@@ -383,8 +410,13 @@ class TestHiddenLayerBound:
         x, params = self.default_case()
         # w2[0] = 0 takes unit 0 out of the mask, 0 * relu(h) = +0, whatever its w1
         params.w2.data[0, 0] = 0.0
+        # the bits of a run that sends every bin down the MLP path
+        monkeypatch.setattr(freq_filter_module, "_certified",
+                            lambda re, im, w1b: np.zeros(re.shape, bool))
         want = filter_forward(x, params).data
-        # max|re| is about 7e4: the bound is about 7e304, every pre-activation finite
+        monkeypatch.undo()
+        # max|re| is about 7e4: the bound is about 7e304, every pre-activation finite,
+        # and |re| w1[0, 0] / b1[0] >= 1 certifies no bin
         params.w1.data[0, 0] = 1e300
         rows = self.count_hidden_checks(monkeypatch)
         got = filter_forward(x, params).data
@@ -406,18 +438,115 @@ class TestHiddenLayerBound:
             filter_forward(Tensor(np.random.default_rng(83).standard_normal((6, 8))), params)
 
 
+def count_mlp_rows(monkeypatch) -> list[int]:
+    """Rows of every table that the mask MLP runs, one entry per table."""
+    rows, table = [], freq_filter_module._mask_table
+
+    def counting(feats, *args):
+        rows.append(len(feats))
+        return table(feats, *args)
+
+    monkeypatch.setattr(freq_filter_module, "_mask_table", counting)
+    return rows
+
+
+class TestCertifiedBins:
+    """A bin whose bound |re| r0 + |im| r1 < 1 fixes every rectifier gets its mask
+    in closed form; only the other, kinked, bins and their partners run the MLP."""
+
+    def test_default_init_certifies_nearly_every_bin(self, monkeypatch):
+        x, params = synth_log_mel(), Model(RunConfig()).filter_params()
+        n = x.shape[0] * (x.shape[1] // 2 + 1)
+        kinked = int((~certified_by_bound(np.fft.rfft2(x), params)).sum())
+        assert 0 < kinked < 0.01 * n
+        rows = count_mlp_rows(monkeypatch)
+        filter_forward(Tensor(x), params)
+        assert rows == [2 * kinked]  # a row and its partner per kinked bin
+        monkeypatch.undo()
+        assert_matches_reference(x, params, np.random.default_rng(92).standard_normal(x.shape))
+
+    def test_mixed_certified_and_kinked_bins(self):
+        x, params = mixed_case()
+        spec = np.fft.rfft2(x)
+        cert = certified_by_bound(spec, params)
+        assert 0.2 < cert.mean() < 0.8
+        # the kinked bins' units are on at some rows and off at others, none on the kink
+        z = spec[~cert].reshape(-1, 1)
+        pre = np.vstack((z.real * params.w1.data[0] + z.imag * params.w1.data[1],
+                         z.real * params.w1.data[0] - z.imag * params.w1.data[1])) + params.b1.data
+        assert (pre[:, 1:] > 0).any() and (pre[:, 1:] < 0).any() and np.abs(pre).min() > 1e-9
+        assert_matches_reference(x, params, np.random.default_rng(93).standard_normal(x.shape))
+
+    def test_zero_bias_certifies_no_bin(self, monkeypatch):
+        x, params = mixed_case()
+        params.b1.data[1] = 0.0
+        n = x.shape[0] * (x.shape[1] // 2 + 1)
+        assert not certified_by_bound(np.fft.rfft2(x), params).any()
+        rows = count_mlp_rows(monkeypatch)
+        filter_forward(Tensor(x), params)
+        assert rows == [2 * n]
+        monkeypatch.undo()
+        assert_matches_reference(x, params, np.random.default_rng(94).standard_normal(x.shape))
+
+    def test_stack_with_different_certified_sets_is_bit_equal_per_clip(self):
+        _, params = mixed_case()
+        x = np.stack([synth_log_mel(81 + i, label) for i, label in enumerate(Label)])
+        counts = certified_by_bound(np.fft.rfft2(x), params).sum(axis=(1, 2))
+        assert len(set(counts.tolist())) == 4
+        with no_grad():
+            stacked = filter_forward(Tensor(x), params).data
+            for i in range(4):
+                assert np.array_equal(stacked[i], filter_forward(Tensor(x[i]), params).data), i
+
+    @pytest.mark.parametrize("weight, index, value, message", [
+        ("w1", (1, 0), np.nan, "mask_net hidden layer"), ("b1", 3, np.inf, "mask_net hidden layer"),
+        ("w2", ..., 1e308, "mask_net output")])
+    def test_non_finite_weights_raise(self, weight, index, value, message):
+        # default-init parameters certify every bin of this faint clip; a NaN w1 or an
+        # infinite b1 certifies none, and w2 = 1e308 overflows the closed form
+        x, params = 1e-3 * synth_log_mel(), Model(RunConfig()).filter_params()
+        assert certified_by_bound(np.fft.rfft2(x), params).all()
+        getattr(params, weight).data[index] = value
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=message):
+            filter_forward(Tensor(x), params)
+
+
+class TestCertifiedShare:
+    """A count-based guard on the closed form: the share of a synth clip's bins
+    that never reach the mask MLP, for the default model at init and trained."""
+
+    @staticmethod
+    def certified_share(model, monkeypatch) -> float:
+        x = synth_log_mel()
+        rows = count_mlp_rows(monkeypatch)
+        filter_forward(Tensor(x), model.filter_params())
+        return 1 - sum(rows) / (2 * x.shape[0] * (x.shape[1] // 2 + 1))
+
+    def test_default_model_at_init(self, monkeypatch):
+        # measured 8201 of 8217 bins
+        assert self.certified_share(Model(RunConfig()), monkeypatch) >= 0.99
+
+    def test_golden_full_checkpoint(self, monkeypatch, tmp_path):
+        # measured 8198 of 8217 bins (0.9977)
+        assert main(["train", *GOLDEN_RUN, "--out-dir", str(tmp_path)]) == 0
+        model = model_from_checkpoint(load_checkpoint(str(tmp_path / "checkpoint.bin")))
+        assert self.certified_share(model, monkeypatch) >= 0.997
+
+
 class TestRectifierPattern:
-    """The forward keeps the mask MLP's rectifier pattern, one bool per row and
-    hidden unit, only for a node that goes on the tape."""
+    """The forward keeps the mask MLP's rectifier pattern, one bool per kinked row
+    and hidden unit, only for a node that goes on the tape."""
 
     @staticmethod
     def spy_patterns(monkeypatch) -> list:
-        """The pattern array handed to each `mask_net` call (None for none)."""
+        """The pattern array returned by each `mask_net` call (None for none)."""
         seen, net = [], freq_filter_module.mask_net
 
         def spying(*args, **kwargs):
-            seen.append(kwargs.get("on"))
-            return net(*args, **kwargs)
+            out = net(*args, **kwargs)
+            seen.append(out[3])
+            return out
 
         monkeypatch.setattr(freq_filter_module, "mask_net", spying)
         return seen
@@ -437,24 +566,29 @@ class TestRectifierPattern:
         filter_forward(Tensor(rng.standard_normal((9, 8))), random_params(rng))
         assert seen == [None]
 
-    def test_node_on_the_tape_holds_a_bool_pattern_of_2n_hidden_entries_and_no_features(self):
-        rng = np.random.default_rng(86)
-        hidden, (t, f) = 6, (9, 8)
-        params = random_params(rng, hidden=hidden, scale=0.5, requires_grad=True)
-        x = rng.standard_normal((t, f))
+    def test_node_on_the_tape_holds_a_bool_pattern_of_the_kinked_rows_and_no_features(self):
+        x, params = mixed_case()
+        hidden = params.w1.shape[1]
+        for p in (params.w1, params.b1, params.w2, params.b2):
+            p.requires_grad = True
         out = filter_forward(Tensor(x), params)
-        n = t * (f // 2 + 1)
+        spec = np.fft.rfft2(x).reshape(-1)
+        kinked = ~certified_by_bound(spec, params)
+        k = int(kinked.sum())
+        assert 0 < k < len(spec)
         held = [c.cell_contents for c in out._backward_fn.__closure__]
-        patterns = [a for a in held if isinstance(a, np.ndarray) and a.size == 2 * n * hidden]
-        assert len(patterns) == 1 and patterns[0].dtype == bool
+        # bool tables besides the shrink's (T, F//2 + 1) subgradient mask
+        patterns = [a for a in held if isinstance(a, np.ndarray) and a.dtype == bool
+                    and a.ndim == 2 and a.shape != (x.shape[0], x.shape[1] // 2 + 1)]
+        assert len(patterns) == 1 and patterns[0].shape == (2 * k, hidden)
         # the backward rebuilds the feature rows from the spectrum instead
-        assert not any(isinstance(a, np.ndarray) and a.shape == (2 * n, 3) for a in held)
-        # rows: every half-plane bin (re, im), then its partner (re, -im)
-        spec = np.fft.rfft2(x).reshape(-1, 1)
+        assert not any(isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == 3 for a in held)
+        # rows: every kinked half-plane bin (re, im), then its partner (re, -im)
+        spec = spec[kinked, None]
         w1, b1 = params.w1.data, params.b1.data
         pre = np.vstack((spec.real * w1[0] + spec.imag * w1[1],
                          spec.real * w1[0] - spec.imag * w1[1])) + b1
-        assert np.abs(pre).min() > 1e-9
+        assert np.abs(pre).min() > 1e-9 and (pre < 0).any()
         np.testing.assert_array_equal(patterns[0], pre > 0)
 
 
