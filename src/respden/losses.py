@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import N_CLASSES
+from .metrics import N_CLASSES, whole_numbers
 from .tensor import Tensor, _ln_backward, _ln_forward
 
 #: fixed output gain on both heads. Head weights start at zero and move by
@@ -37,16 +37,11 @@ class HeadParams:
     cls_b: Tensor
 
 
-def _check_label(label: int) -> int:
-    label = int(label)
-    if not 0 <= label < N_CLASSES:
-        raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
-    return label
-
-
 def smoothed_target(label: int, epsilon: float) -> np.ndarray:
     """y * (1 - eps) + eps / C; always sums to 1."""
-    label = _check_label(label)
+    label = int(whole_numbers(label, "label"))
+    if not 0 <= label < N_CLASSES:
+        raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"smoothing must be in [0, 1), got {epsilon}")
     t = np.full(N_CLASSES, epsilon / N_CLASSES)

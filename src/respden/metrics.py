@@ -25,9 +25,18 @@ class MetricsReport:
     score: float
 
 
+def whole_numbers(values, what: str) -> np.ndarray:
+    """`values` as int64; one that is not a whole number raises `ValueError`, not truncation."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to values unequal to them
+        whole = values.astype(np.int64)
+    if not (whole == values).all():
+        raise ValueError(f"{what} {values[whole != values].flat[0]} is not a whole number")
+    return whole
+
+
 def confusion_matrix(truths, preds) -> np.ndarray:
-    truths = np.asarray(truths, dtype=np.int64)
-    preds = np.asarray(preds, dtype=np.int64)
+    truths, preds = whole_numbers(truths, "label"), whole_numbers(preds, "label")
     if truths.shape != preds.shape:
         raise ValueError(f"label/prediction lengths differ: {truths.shape} vs {preds.shape}")
     for label in np.concatenate((truths, preds), axis=None):
@@ -39,7 +48,7 @@ def confusion_matrix(truths, preds) -> np.ndarray:
 
 
 def compute_metrics(confusion: np.ndarray) -> MetricsReport:
-    confusion = np.asarray(confusion, dtype=np.int64)
+    confusion = whole_numbers(confusion, "confusion count")
     if confusion.shape != (N_CLASSES, N_CLASSES) or (confusion < 0).any():
         raise ValueError(f"confusion must be a non-negative {N_CLASSES}x{N_CLASSES} count matrix")
     n_normal = confusion[Label.NORMAL].sum()

@@ -11,9 +11,7 @@ be checked against them. Two use the `add`, `mul`, `matmul` and
 the six-node full-plane filter chain (`fft2`, `mask_net`, `symmetrize`,
 `soft_shrink`, `scale_complex`, `ifft2`, composed by `reference_filter`)
 that the one-node `freq_filter.filter_forward` replaced; its output and
-four parameter gradients must agree to 1e-10. Its `mask_net` node runs
-the library's per-table blocked MLP kernel and its rectifier-pattern
-pullback, so the per-bin loop oracle checks both through it. `mul` is also the
+four parameter gradients must agree to 1e-10. `mul` is also the
 oracle of the chain's `scale_complex`. The resampling oracle is scipy's
 `resample_poly`, whose per-sample `upfirdn` loop the library's polyphase
 GEMMs replaced. `preprocess_composed` is the audio pipeline in its old stage
@@ -47,7 +45,6 @@ from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
 import respden.audio as audio
-import respden.freq_filter as freq_filter
 from respden.attention import EXP_BOUND, N_FREQ_PATCHES, N_TIME_PATCHES, PATCH, extract_patches
 from respden.config import FIELD_TYPES, RunConfig
 from respden.errors import NumericError, ShapeError, UsageError
@@ -223,24 +220,23 @@ def _features(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def mask_net(spectrum: Tensor, params) -> Tensor:
     """One real T x F mask from each bin's (re, im) pair of a (2, T, F) spectrum.
 
-    relu(feats @ w1 + b1) @ w2 + b2 as a single tape node over every bin of
-    the full plane, through the library's per-table blocked MLP kernel, which
-    scans every block's hidden layer, and the pullback that reads the
-    rectifier pattern the kernel kept. Like
-    the filter, it differentiates only its four parameters: the spectrum is
-    data and gets no cotangent.
+    relu(feats @ w1b) @ w2 + b2 as a single tape node over every bin of the
+    full plane, with w1b = (w1; b1) and a hidden layer checked for NaN/Inf.
+    Like the filter, it differentiates only its four parameters: the
+    spectrum is data and gets no cotangent.
     """
     w1b, w2 = np.vstack((params.w1.data, params.b1.data)), params.w2.data
     _, t, f = spectrum.shape
     feats = _features(spectrum.data[0], spectrum.data[1])
-    raw, on = np.empty(len(feats)), np.empty((len(feats), w1b.shape[1]), bool)
-    freq_filter._mask_table(feats, w1b, w2, raw, on, check=True)
-    out = raw + params.b2.data
+    pre = feats @ w1b
+    _check_finite(pre, "mask_net hidden layer")
+    hidden = np.maximum(pre, 0.0)
+    out = hidden @ w2 + params.b2.data
 
     def backward(g):
-        g = g.reshape(-1)
-        d_w1b, d_w2 = freq_filter._pattern_pullback(feats * g[:, None], w1b, w2, on)
-        return d_w1b[:2], d_w1b[2], d_w2, g.sum(keepdims=True)
+        g = g.reshape(-1, 1)
+        d_w1b = feats.T @ (g * w2.T * (pre > 0))  # relu's subgradient is 0 at the kink
+        return d_w1b[:2], d_w1b[2], hidden.T @ g, g.sum(0)
 
     return Tensor._from_op(out.reshape(t, f), (params.w1, params.b1, params.w2, params.b2),
                            backward, "mask_net")

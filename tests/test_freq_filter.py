@@ -72,7 +72,7 @@ def normwise_rel_err(got, want) -> float:
 
 
 class TestFusedMaskNet:
-    """The blocked single-node MLP against the per-bin loop oracle."""
+    """The reference chain's single-node mask MLP against the per-bin loop oracle."""
 
     SHAPE = (33, 40)
 
@@ -89,9 +89,6 @@ class TestFusedMaskNet:
         return spec, params
 
     def test_forward_and_four_gradients_match_loop_oracle(self):
-        # more than one block, the last one ragged
-        n = self.SHAPE[0] * self.SHAPE[1]
-        assert n > MASK_BLOCK and n % MASK_BLOCK != 0
         spec, params = self.spectrum_and_params()
         w1, b1, w2, b2 = (p.data for p in (params.w1, params.b1, params.w2, params.b2))
         z = spec.data[0, ..., None] * w1[0] + spec.data[1, ..., None] * w1[1] + b1
@@ -377,10 +374,8 @@ class TestFusedMatchesReference:
             filter_forward(Tensor(np.zeros(8)), rigged_params(bias_out=1.0))
 
 
-class TestHiddenLayerBound:
-    """The mask MLP scans its hidden layer per block only when the magnitude bound
-    max|re| max|w1[0]| + max|im| max|w1[1]| + max|b1| over a clip's kinked rows is
-    not below 1e300."""
+class TestHiddenLayerScan:
+    """The mask MLP scans every hidden block of the kinked rows for NaN/Inf."""
 
     @staticmethod
     def count_hidden_checks(monkeypatch) -> list[int]:
@@ -400,13 +395,16 @@ class TestHiddenLayerBound:
         """Default-init AFF parameters and the log-mel spectrogram of a synth cycle."""
         return Tensor(synth_log_mel()), Model(RunConfig()).filter_params()
 
-    def test_default_model_scans_no_block(self, monkeypatch):
+    def test_default_model_scans_exactly_its_kinked_rows(self, monkeypatch):
         x, params = self.default_case()
+        seen = spy_mask_net(monkeypatch)
         rows = self.count_hidden_checks(monkeypatch)
         filter_forward(x, params)
-        assert rows == []
+        [(_, kinked, _, _)] = seen
+        assert len(kinked) > 0
+        assert sum(rows) == 2 * len(kinked)  # a row and its partner per kinked bin
 
-    def test_failed_bound_scans_every_block_and_keeps_the_bits(self, monkeypatch):
+    def test_all_kinked_clip_scans_every_block_and_keeps_the_bits(self, monkeypatch):
         x, params = self.default_case()
         # w2[0] = 0 takes unit 0 out of the mask, 0 * relu(h) = +0, whatever its w1
         params.w2.data[0, 0] = 0.0
@@ -415,7 +413,7 @@ class TestHiddenLayerBound:
                             lambda re, im, w1b: np.zeros(re.shape, bool))
         want = filter_forward(x, params).data
         monkeypatch.undo()
-        # max|re| is about 7e4: the bound is about 7e304, every pre-activation finite,
+        # max|re| is about 7e4, so every pre-activation stays finite,
         # and |re| w1[0, 0] / b1[0] >= 1 certifies no bin
         params.w1.data[0, 0] = 1e300
         rows = self.count_hidden_checks(monkeypatch)
@@ -450,6 +448,18 @@ def count_mlp_rows(monkeypatch) -> list[int]:
     return rows
 
 
+def spy_mask_net(monkeypatch) -> list[tuple]:
+    """The (lin, kinked, raw, on) that each `mask_net` call returns."""
+    seen, net = [], freq_filter_module.mask_net
+
+    def spying(*args, **kwargs):
+        seen.append(net(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(freq_filter_module, "mask_net", spying)
+    return seen
+
+
 class TestCertifiedBins:
     """A bin whose bound |re| r0 + |im| r1 < 1 fixes every rectifier gets its mask
     in closed form; only the other, kinked, bins and their partners run the MLP."""
@@ -481,6 +491,8 @@ class TestCertifiedBins:
         x, params = mixed_case()
         params.b1.data[1] = 0.0
         n = x.shape[0] * (x.shape[1] // 2 + 1)
+        # the MLP's table spans more than one block, the last one ragged
+        assert 2 * n > MASK_BLOCK and 2 * n % MASK_BLOCK != 0
         assert not certified_by_bound(np.fft.rfft2(x), params).any()
         rows = count_mlp_rows(monkeypatch)
         filter_forward(Tensor(x), params)
@@ -538,33 +550,20 @@ class TestRectifierPattern:
     """The forward keeps the mask MLP's rectifier pattern, one bool per kinked row
     and hidden unit, only for a node that goes on the tape."""
 
-    @staticmethod
-    def spy_patterns(monkeypatch) -> list:
-        """The pattern array returned by each `mask_net` call (None for none)."""
-        seen, net = [], freq_filter_module.mask_net
-
-        def spying(*args, **kwargs):
-            out = net(*args, **kwargs)
-            seen.append(out[3])
-            return out
-
-        monkeypatch.setattr(freq_filter_module, "mask_net", spying)
-        return seen
-
     @pytest.mark.parametrize("shape", [(9, 8), (3, 9, 8)])
     def test_no_grad_forward_passes_no_pattern(self, shape, monkeypatch):
         rng = np.random.default_rng(84)
         params = random_params(rng, requires_grad=True)
-        seen = self.spy_patterns(monkeypatch)
+        seen = spy_mask_net(monkeypatch)
         with no_grad():
             filter_forward(Tensor(rng.standard_normal(shape)), params)
-        assert seen == [None]
+        assert [on for *_, on in seen] == [None]
 
     def test_constant_parameters_pass_no_pattern(self, monkeypatch):
         rng = np.random.default_rng(85)
-        seen = self.spy_patterns(monkeypatch)
+        seen = spy_mask_net(monkeypatch)
         filter_forward(Tensor(rng.standard_normal((9, 8))), random_params(rng))
-        assert seen == [None]
+        assert [on for *_, on in seen] == [None]
 
     def test_node_on_the_tape_holds_a_bool_pattern_of_the_kinked_rows_and_no_features(self):
         x, params = mixed_case()

@@ -4,6 +4,7 @@ oracle, gradients."""
 import numpy as np
 import pytest
 
+from respden.audio import Label
 from respden.gradcheck import check_loss_gradients
 from respden.losses import (
     HEAD_GAIN,
@@ -65,6 +66,15 @@ class TestSmoothedTarget:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             smoothed_target(0, 1.0)
+
+    def test_fractional_label_rejected(self):
+        # int() would truncate 2.9 to class 2
+        with pytest.raises(ValueError, match="label 2.9 is not a whole number"):
+            smoothed_target(2.9, 0.0)
+
+    @pytest.mark.parametrize("label", [Label.WHEEZE, 2, np.int64(2), np.int32(2)])
+    def test_integer_labels_accepted(self, label):
+        np.testing.assert_array_equal(smoothed_target(label, 0.0), [0.0, 0.0, 1.0, 0.0])
 
 
 class TestCeLoss:

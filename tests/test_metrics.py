@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from respden.audio import Label
 from respden.errors import UndefinedMetricError
 from respden.metrics import compute_metrics, confusion_matrix
 from respden.report import truncate_pct
@@ -58,6 +59,12 @@ class TestComputeMetrics:
         with pytest.raises(UndefinedMetricError):
             compute_metrics(conf)
 
+    def test_fractional_counts_rejected(self):
+        # an int64 cast would truncate 2.5 to 2
+        conf = np.diag([2.5, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="confusion count 2.5 is not a whole number"):
+            compute_metrics(conf)
+
     def test_negative_counts_rejected(self):
         conf = np.zeros((4, 4), dtype=int)
         conf[0, 0] = -1
@@ -73,3 +80,12 @@ class TestComputeMetrics:
         # numpy's negative indexing would count -1 as class 3
         with pytest.raises(ValueError, match=f"label {bad} is outside 0..3"):
             confusion_matrix(truths, preds)
+
+    def test_fractional_labels_rejected(self):
+        # an int64 cast would count them as classes 1 and 0
+        with pytest.raises(ValueError, match="label 1.5 is not a whole number"):
+            confusion_matrix([1.5, 0.9], [1, 0])
+
+    def test_label_members_and_numpy_ints_accepted(self):
+        conf = confusion_matrix([Label.NORMAL, np.int64(3), np.int32(1)], [0, Label.BOTH, 1])
+        np.testing.assert_array_equal(conf, np.diag([1, 1, 0, 1]))

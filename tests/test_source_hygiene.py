@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used in that module,
-and the README's Tests table has one row per test file."""
+every top-level function and class of the library has a caller in the library
+or the demos, and the README's Tests table has one row per test file."""
 
 import ast
 import pathlib
@@ -43,6 +44,43 @@ def test_detects_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os\nfrom math import inf, pi\n"
                      "print(os.sep, pi)\n")
     assert unused_imports(tree) == {"inf"}
+
+
+#: (module, name) top-level defs kept although no library module or demo calls them
+ALLOWED_UNCALLED = {
+    # only tests call it, and perfbench/tracer.py wraps it as datasets.read_wav
+    ("wavio", "read_wav"),
+}
+
+
+def uncalled_defs(modules: dict[str, ast.Module], callers: list[ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of each top-level function or class of `modules` whose name no
+    node of `modules` or `callers` reads. A name counts when read bare or as an
+    attribute, so a like-named local elsewhere passes it too."""
+    read = set()
+    for tree in [*modules.values(), *callers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {(module, node.name) for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read}
+
+
+def test_every_top_level_def_has_a_caller():
+    # the package's __init__ only re-exports, which does not make a caller
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    demos = [ast.parse(p.read_text(encoding="utf-8")) for p in (TESTS.parent / "demos").glob("*.py")]
+    assert uncalled_defs(modules, demos) == ALLOWED_UNCALLED
+
+
+def test_detects_an_uncalled_def():
+    lib = ast.parse("def used():\n    pass\n\ndef orphan():\n    pass\n\n"
+                    "class Kept:\n    pass\n\nclass Dropped:\n    pass\n")
+    demo = ast.parse("import lib\nlib.used()\nprint(lib.Kept())\n")
+    assert uncalled_defs({"lib": lib}, [demo]) == {("lib", "orphan"), ("lib", "Dropped")}
 
 
 def table_mismatch(readme: str, files: list[str]) -> tuple[set[str], set[str]]:
